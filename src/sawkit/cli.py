@@ -20,6 +20,7 @@ import numpy as np
 from . import ingest, qdyn
 from .config import RunConfig, parse_config, parse_si, siv_params_from_mapping, strain_from_mapping
 from .errors import ArgumentError, FormatError, ToolkitError
+from .numerics import db_convert
 from .plotting import line_plot_svg
 from .specanalysis import CavityGeometry, cavity_report, report_csv, report_summary
 from .spinphonon import (
@@ -83,8 +84,12 @@ def _read_file(path) -> bytes:
 def _write_atomic(path: Path, data: bytes):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class AppState:
@@ -107,6 +112,14 @@ class AppState:
         _write_atomic(path, data)
         return path
 
+    def write_sweep(self, name: str, sweep: ingest.NetworkSweep):
+        """Write every pair as ri CSV for a .csv name, else as Touchstone."""
+        if name.lower().endswith(".csv"):
+            data = ingest.write_csv(sweep, sorted(sweep.s), representation="ri")
+        else:
+            data = ingest.write_touchstone(sweep)
+        click.echo(f"wrote {self.write(name, data)}")
+
     def maybe_plot(self, name: str, x, y, title: str, x_label: str, y_label: str):
         if self.plot:
             svg = line_plot_svg(x, y, title=title, x_label=x_label, y_label=y_label)
@@ -114,6 +127,27 @@ class AppState:
 
 
 pass_state = click.make_pass_decorator(AppState)
+
+
+def beam_options(command):
+    """The Gaussian-beam flags shared by budget and coupling."""
+    for option in reversed((
+        click.option("--waist", type=SI, default=None, help="Beam waist in m."),
+        click.option("--beam-wavelength", type=SI, default=None, help="Acoustic wavelength in m."),
+        click.option("--r", "r_loc", type=SI, default=0.0, help="Emitter radial offset in m."),
+        click.option("--z", "z_loc", type=SI, default=0.0, help="Emitter axial offset in m."),
+    )):
+        command = option(command)
+    return command
+
+
+def _beam_factor(waist, beam_wavelength, r_loc, z_loc) -> float:
+    """Beam envelope at the emitter; 1 (at focus) when no beam is given."""
+    if waist is None and beam_wavelength is None:
+        return 1.0
+    if waist is None or beam_wavelength is None:
+        _usage_error("--waist and --beam-wavelength go together")
+    return beam_profile(GaussianBeam(w0=waist, wavelength=beam_wavelength), r_loc, z_loc)
 
 
 @click.group()
@@ -238,10 +272,9 @@ def echo_loss(state, input_path, length, vg, known_r, known_alpha, n_max, window
         )
         round_trip = 2.0 * length / vg
         train = detect_echoes(ir, round_trip, n_max)
-        known_alpha_per_m = None
         if known_alpha is not None:
-            known_alpha_per_m = known_alpha * 1000.0 * math.log(10.0) / 10.0
-        model = fit_echo_decay(train, length, known_r=known_r, known_alpha=known_alpha_per_m)
+            known_alpha = db_convert(known_alpha, "db_per_mm_to_per_m_power")
+        model = fit_echo_decay(train, length, known_r=known_r, known_alpha=known_alpha)
     except ToolkitError as exc:
         _fail(EXIT_ANALYSIS, exc)
     state.write("echo_train.csv", echo_train_csv(train))
@@ -278,12 +311,7 @@ def gate(state, input_path, start, stop, output):
         gated = time_gate(sweep, (start, stop))
     except ToolkitError as exc:
         _fail(EXIT_ANALYSIS, exc)
-    if output.lower().endswith(".csv"):
-        data = ingest.write_csv(gated, sorted(gated.s), representation="ri")
-    else:
-        data = ingest.write_touchstone(gated)
-    path = state.write(output, data)
-    click.echo(f"wrote {path}")
+    state.write_sweep(output, gated)
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +324,13 @@ def gate(state, input_path, start, stop, output):
 @click.option("--g", type=SI, required=True, help="Single-phonon coupling rate in Hz.")
 @click.option("--f0", type=SI, required=True, help="Mode frequency in Hz.")
 @click.option("--t0", type=SI, required=True, help="Phonon duration in s.")
-@click.option("--waist", type=SI, default=None, help="Beam waist in m.")
-@click.option("--beam-wavelength", type=SI, default=None, help="Acoustic wavelength in m.")
-@click.option("--r", "r_loc", type=SI, default=0.0, help="Emitter radial offset in m.")
-@click.option("--z", "z_loc", type=SI, default=0.0, help="Emitter axial offset in m.")
+@beam_options
 @pass_state
 def budget(state, power_dbm, losses, g, f0, t0, waist, beam_wavelength, r_loc, z_loc):
     """Phonon budget: RF power to sqrt(n) g Rabi rate."""
     try:
         bud = phonon_budget(power_dbm, list(losses), f0, t0)
-        u = 1.0
-        if waist is not None or beam_wavelength is not None:
-            if waist is None or beam_wavelength is None:
-                _usage_error("--waist and --beam-wavelength go together")
-            beam = GaussianBeam(w0=waist, wavelength=beam_wavelength)
-            u = beam_profile(beam, r_loc, z_loc)
+        u = _beam_factor(waist, beam_wavelength, r_loc, z_loc)
         rabi = rabi_from_phonons(bud.n, g * u)
     except ArgumentError as exc:
         _usage_error(exc)
@@ -337,27 +357,15 @@ def budget(state, power_dbm, losses, g, f0, t0, waist, beam_wavelength, r_loc, z
 @click.option("--d-s", type=SI, default=None, help="Strain susceptibility in Hz.")
 @click.option("--f-s", type=SI, default=None, help="Strain susceptibility in Hz.")
 @click.option("--theta-deg", type=float, default=None, help="Field angle in degrees.")
-@click.option("--waist", type=SI, default=None)
-@click.option("--beam-wavelength", type=SI, default=None)
-@click.option("--r", "r_loc", type=SI, default=0.0)
-@click.option("--z", "z_loc", type=SI, default=0.0)
+@beam_options
 @pass_state
-def coupling(state, f_m, b_x, eps_xx, eps_yy, eps_zz, eps_xy, eps_yz, eps_zx,
-             gamma_s, lambda_so, d_s, f_s, theta_deg, waist, beam_wavelength, r_loc, z_loc):
+def coupling(state, f_m, b_x, waist, beam_wavelength, r_loc, z_loc, **flags):
     """Resonance fields and spin-phonon coupling for a strain tensor."""
+    # the remaining flags are named after their config keys and override them
     overrides = dict(state.config.raw)
-    for key, val in (
-        ("gamma_s", gamma_s), ("lambda_so", lambda_so), ("d_s", d_s), ("f_s", f_s),
-        ("theta_deg", theta_deg),
-    ):
+    for key, val in flags.items():
         if val is not None:
-            overrides[key] = repr(val)
-    for key, val in (
-        ("eps_xx", eps_xx), ("eps_yy", eps_yy), ("eps_zz", eps_zz),
-        ("eps_xy", eps_xy), ("eps_yz", eps_yz), ("eps_zx", eps_zx),
-    ):
-        if val is not None:
-            overrides[key] = repr(val)
+            overrides[key] = val
     try:
         params = siv_params_from_mapping(overrides)
         eps = strain_from_mapping(overrides)
@@ -365,11 +373,7 @@ def coupling(state, f_m, b_x, eps_xx, eps_yy, eps_zz, eps_xy, eps_yz, eps_zx,
         b_z = resonance_axial_field(omega_m, params)
         bx = b_x if b_x is not None else transverse_field(omega_m, params)
         g = coupling_rate(params, bx, eps)
-        u = 1.0
-        if waist is not None or beam_wavelength is not None:
-            if waist is None or beam_wavelength is None:
-                _usage_error("--waist and --beam-wavelength go together")
-            u = beam_profile(GaussianBeam(w0=waist, wavelength=beam_wavelength), r_loc, z_loc)
+        u = _beam_factor(waist, beam_wavelength, r_loc, z_loc)
     except ArgumentError as exc:
         _usage_error(exc)
     out = (
@@ -490,7 +494,7 @@ def synth(state, t_eff, r_eff, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
     if noise > 0 and state.seed is None:
         _usage_error("--noise needs --seed for reproducible output")
     try:
-        alpha = alpha_db_mm * 1000.0 * math.log(10.0) / 10.0
+        alpha = db_convert(alpha_db_mm, "db_per_mm_to_per_m_power")
         model = LossModel(t=t_eff, r=r_eff, alpha=alpha, length=length)
         sweep = synthesize_echo_network(
             model,
@@ -504,12 +508,7 @@ def synth(state, t_eff, r_eff, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
         )
     except ToolkitError as exc:
         _fail(EXIT_ANALYSIS, exc)
-    if name.lower().endswith(".csv"):
-        data = ingest.write_csv(sweep, sorted(sweep.s), representation="ri")
-    else:
-        data = ingest.write_touchstone(sweep)
-    path = state.write(name, data)
-    click.echo(f"wrote {path}")
+    state.write_sweep(name, sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ NetworkSweep; both writers round-trip through their parsers.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -20,7 +22,6 @@ from .errors import ArgumentError, FormatError
 __all__ = [
     "PORT_PAIRS",
     "NetworkSweep",
-    "SweepMeta",
     "parse_touchstone",
     "write_touchstone",
     "parse_csv_sweep",
@@ -99,22 +100,6 @@ class NetworkSweep:
         return pair in self.s
 
 
-@dataclass
-class SweepMeta:
-    """Optional device context carried alongside a sweep."""
-
-    temperature: Optional[float] = None
-    device_length: Optional[float] = None
-    idt_pitch: Optional[float] = None
-    notes: str = ""
-
-    def __post_init__(self):
-        if self.device_length is not None and self.device_length <= 0:
-            raise ArgumentError("device_length must be positive")
-        if self.idt_pitch is not None and self.idt_pitch <= 0:
-            raise ArgumentError("idt_pitch must be positive")
-
-
 def _decode(data) -> str:
     if isinstance(data, str):
         return data
@@ -156,18 +141,60 @@ def _parse_option_line(line: str, lineno: int):
     return unit_scale, representation, impedance
 
 
-def _pairs_from_columns(cols, representation: str):
-    out = []
-    for k in range(4):
-        a, b = cols[2 * k], cols[2 * k + 1]
-        if representation == "RI":
-            out.append(complex(a, b))
+def _read_rows(rows, forms, f_scale: float = 1.0):
+    """Reader side of both formats: numeric text rows to frequencies and S values.
+
+    rows yields (lineno, cells): the frequency cell, then one (a, b) pair
+    per entry of forms, where 'RI' is real/imaginary, 'MA'
+    magnitude/degrees and 'DB' dB/degrees. Frequencies are scaled by
+    f_scale and must rise strictly. A cell that is not a finite number
+    raises a FormatError at its line. Returns the frequency list and a
+    (rows, pairs) complex array.
+    """
+    freqs, table = [], array.array("d")
+    for lineno, cells in rows:
+        try:
+            nums = list(map(float, cells))
+        except ValueError as exc:
+            raise FormatError(f"bad number in data row: {exc}", lineno) from None
+        if not all(map(math.isfinite, nums)):
+            raise FormatError("non-finite value in data row", lineno)
+        f = nums[0] * f_scale
+        if freqs and f <= freqs[-1]:
+            raise FormatError(f"frequency not strictly increasing at {nums[0]!r}", lineno)
+        freqs.append(f)
+        table.extend(nums)
+    grid = np.frombuffer(table, dtype=float).reshape(-1, 1 + 2 * len(forms))
+    values = np.empty((grid.shape[0], len(forms)), dtype=complex)
+    values.real, values.imag = grid[:, 1::2], grid[:, 2::2]
+    for k, form in enumerate(forms):
+        if form != "RI":
+            mag, deg = grid[:, 2 * k + 1].tolist(), grid[:, 2 * k + 2].tolist()
+            if form == "DB":
+                mag = [10.0 ** (a / 20.0) for a in mag]
+            rad = map(math.radians, deg)
+            values[:, k] = [complex(m * math.cos(r), m * math.sin(r)) for m, r in zip(mag, rad)]
+    return freqs, values
+
+
+def _write_row(f: float, values, form: str):
+    """Writer side of both formats: a frequency and S values as text cells.
+
+    form is 'RI', 'MA' or 'DB' as for _read_rows; every number carries 17
+    significant digits.
+    """
+    cells = [f"{f:.17g}"]
+    for v in values:
+        if form == "RI":
+            a, b = v.real, v.imag
         else:
-            if representation == "DB":
-                a = 10.0 ** (a / 20.0)
-            rad = math.radians(b)
-            out.append(complex(a * math.cos(rad), a * math.sin(rad)))
-    return out
+            a = abs(v)
+            if form == "DB":
+                # floor far below any measurable level instead of -inf
+                a = 20.0 * math.log10(a) if a > 0 else -400.0
+            b = math.degrees(math.atan2(v.imag, v.real))
+        cells += (f"{a:.17g}", f"{b:.17g}")
+    return cells
 
 
 def parse_touchstone(data) -> NetworkSweep:
@@ -179,54 +206,46 @@ def parse_touchstone(data) -> NetworkSweep:
     Touchstone v2 keyword blocks are rejected.
     """
     text = _decode(data)
-    option = None
-    freqs = []
-    rows = []
-    last_f = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        cut = raw.find("!")
-        line = (raw if cut < 0 else raw[:cut]).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            raise FormatError(
-                f"Touchstone v2 keyword {line.split()[0]} not supported; "
-                "this parser reads v1 only",
-                lineno,
-            )
-        if line.startswith("#"):
-            if option is not None:
-                raise FormatError("second option line", lineno)
-            option = _parse_option_line(line, lineno)
-            continue
-        if option is None:
+
+    def content():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            cut = raw.find("!")
+            line = (raw if cut < 0 else raw[:cut]).strip()
+            if line.startswith("["):
+                raise FormatError(
+                    f"Touchstone v2 keyword {line.split()[0]} not supported; "
+                    "this parser reads v1 only",
+                    lineno,
+                )
+            if line:
+                yield lineno, line
+
+    # the option line must come first; data_rows resumes after it
+    lines = content()
+    for lineno, line in lines:
+        if not line.startswith("#"):
             raise FormatError("data before the option line (missing '#' line)", lineno)
-        parts = line.split()
-        if len(parts) != 9:
-            raise FormatError(
-                f"expected 9 columns for a two-port row, got {len(parts)}", lineno
-            )
-        try:
-            cols = [float(p) for p in parts]
-        except ValueError as exc:
-            raise FormatError(f"bad number in data row: {exc}", lineno) from None
-        if not all(math.isfinite(c) for c in cols):
-            raise FormatError("non-finite value in data row", lineno)
-        f = cols[0] * option[0]
-        if last_f is not None and f <= last_f:
-            raise FormatError(
-                f"frequency not strictly increasing at {cols[0]!r}", lineno
-            )
-        last_f = f
-        freqs.append(f)
-        rows.append(_pairs_from_columns(cols[1:], option[1]))
-    if option is None:
+        unit_scale, form, impedance = _parse_option_line(line, lineno)
+        break
+    else:
         raise FormatError("missing option line (no '#' line found)")
-    if not rows:
+
+    def data_rows():
+        for lineno, line in lines:
+            if line.startswith("#"):
+                raise FormatError("second option line", lineno)
+            parts = line.split()
+            if len(parts) != 9:
+                raise FormatError(
+                    f"expected 9 columns for a two-port row, got {len(parts)}", lineno
+                )
+            yield lineno, parts
+
+    freqs, values = _read_rows(data_rows(), (form,) * len(PORT_PAIRS), unit_scale)
+    if not freqs:
         raise FormatError("no data rows")
-    values = np.asarray(rows, dtype=complex)
     s = {pair: values[:, k] for k, pair in enumerate(PORT_PAIRS)}
-    return NetworkSweep(freqs=np.asarray(freqs), s=s, ref_impedance=option[2])
+    return NetworkSweep(freqs=np.asarray(freqs), s=s, ref_impedance=impedance)
 
 
 def write_touchstone(sweep: NetworkSweep, unit: str = "GHZ", representation: str = "RI") -> bytes:
@@ -249,22 +268,8 @@ def write_touchstone(sweep: NetworkSweep, unit: str = "GHZ", representation: str
     lines.append(f"# {unit} S {representation} R {sweep.ref_impedance:.17g}")
     zeros = np.zeros(sweep.freqs.size, dtype=complex)
     columns = [sweep.s.get(pair, zeros) for pair in PORT_PAIRS]
-    for i, f in enumerate(sweep.freqs):
-        cells = [f"{f / scale:.17g}"]
-        for col in columns:
-            v = col[i]
-            if representation == "RI":
-                a, b = v.real, v.imag
-            else:
-                mag = abs(v)
-                ang = math.degrees(math.atan2(v.imag, v.real))
-                if representation == "DB":
-                    # floor far below any measurable level instead of -inf
-                    mag = 20.0 * math.log10(mag) if mag > 0 else -400.0
-                a, b = mag, ang
-            cells.append(f"{a:.17g}")
-            cells.append(f"{b:.17g}")
-        lines.append(" ".join(cells))
+    for f, *values in zip(sweep.freqs, *columns):
+        lines.append(" ".join(_write_row(f / scale, values, representation)))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -333,50 +338,29 @@ def parse_csv_sweep(data, column_spec: Optional[Dict[str, str]] = None) -> Netwo
                 raise FormatError(f"{base} needs both _re and _im columns")
             if db_i is not None or deg_i is not None:
                 raise FormatError(f"{base} has both re/im and db/deg columns")
-            pair_cols[pair] = ("ri", re_i, im_i)
+            pair_cols[pair] = ("RI", re_i, im_i)
         elif db_i is not None or deg_i is not None:
             if db_i is None or deg_i is None:
                 raise FormatError(f"{base} needs both _db and _deg columns")
-            pair_cols[pair] = ("db", db_i, deg_i)
+            pair_cols[pair] = ("DB", db_i, deg_i)
     if not pair_cols:
         raise FormatError(
             f"no S-parameter columns found; available: {', '.join(header)}"
         )
+    cells = operator.itemgetter(fcol, *(i for _, ia, ib in pair_cols.values() for i in (ia, ib)))
 
-    freqs = []
-    data_cols = {pair: [] for pair in pair_cols}
-    last_f = None
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise FormatError(
-                f"expected {len(header)} cells, got {len(row)}", lineno
-            )
-        try:
-            f = float(row[fcol])
-        except ValueError:
-            raise FormatError(f"bad frequency {row[fcol]!r}", lineno) from None
-        if not math.isfinite(f):
-            raise FormatError("non-finite frequency", lineno)
-        if last_f is not None and f <= last_f:
-            raise FormatError("frequency not strictly increasing", lineno)
-        last_f = f
-        freqs.append(f)
-        for pair, (kind, ia, ib) in pair_cols.items():
-            try:
-                a, b = float(row[ia]), float(row[ib])
-            except ValueError as exc:
-                raise FormatError(f"bad number: {exc}", lineno) from None
-            if kind == "ri":
-                data_cols[pair].append(complex(a, b))
-            else:
-                mag = 10.0 ** (a / 20.0)
-                rad = math.radians(b)
-                data_cols[pair].append(complex(mag * math.cos(rad), mag * math.sin(rad)))
+    def data_rows():
+        for lineno, row in enumerate(rows[1:], start=2):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != len(header):
+                raise FormatError(f"expected {len(header)} cells, got {len(row)}", lineno)
+            yield lineno, cells(row)
+
+    freqs, values = _read_rows(data_rows(), [form for form, _, _ in pair_cols.values()])
     if not freqs:
         raise FormatError("CSV has a header but no data rows")
-    s = {pair: np.asarray(vals, dtype=complex) for pair, vals in data_cols.items()}
+    s = {pair: np.ascontiguousarray(values[:, k]) for k, pair in enumerate(pair_cols)}
     return NetworkSweep(freqs=np.asarray(freqs), s=s)
 
 
@@ -395,27 +379,12 @@ def write_csv(sweep: NetworkSweep, which: Iterable[PortPair], representation: st
     for pair in pairs:
         if pair not in sweep.s:
             raise ArgumentError(f"{pair_name(pair)} not present in sweep")
+    form, suffixes = ("RI", ("re", "im")) if representation == "ri" else ("DB", ("db", "deg"))
     header = ["freq_hz"]
     for pair in pairs:
-        base = pair_name(pair)
-        if representation == "ri":
-            header += [f"{base}_re", f"{base}_im"]
-        else:
-            header += [f"{base}_db", f"{base}_deg"]
+        header += [f"{pair_name(pair)}_{suffix}" for suffix in suffixes]
     out = io.StringIO()
     out.write(",".join(header) + "\n")
-    for i, f in enumerate(sweep.freqs):
-        cells = [f"{f:.17g}"]
-        for pair in pairs:
-            v = sweep.s[pair][i]
-            if representation == "ri":
-                cells.append(f"{v.real:.17g}")
-                cells.append(f"{v.imag:.17g}")
-            else:
-                mag = abs(v)
-                db = 20.0 * math.log10(mag) if mag > 0 else -400.0
-                deg = math.degrees(math.atan2(v.imag, v.real))
-                cells.append(f"{db:.17g}")
-                cells.append(f"{deg:.17g}")
-        out.write(",".join(cells) + "\n")
+    for f, *values in zip(sweep.freqs, *(sweep.s[pair] for pair in pairs)):
+        out.write(",".join(_write_row(f, values, form)) + "\n")
     return out.getvalue().encode()

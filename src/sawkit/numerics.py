@@ -38,8 +38,6 @@ class Series:
 
     x: np.ndarray
     y: np.ndarray
-    x_unit: str = ""
-    y_unit: str = ""
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -291,11 +289,18 @@ _DB_MODES = {
     "db_to_amplitude_ratio": lambda v: 10.0 ** (v / 20.0),
     # power attenuation in 1/m from dB/mm: 1000 mm/m, ln(10)/10 per dB
     "db_per_mm_to_per_m_power": lambda v: v * 1000.0 * np.log(10.0) / 10.0,
+    "per_m_to_db_per_mm_power": lambda v: v * 10.0 / (1000.0 * np.log(10.0)),
 }
 
 
 def db_convert(value: float, mode: str) -> float:
-    """Convert between dB conventions used throughout the package."""
+    """Convert between dB conventions used throughout the package.
+
+    Modes: 'db_to_power_ratio' and 'db_to_amplitude_ratio' (10^(dB/10)
+    and 10^(dB/20)); 'db_per_mm_to_per_m_power' turns a power attenuation
+    in dB/mm into 1/m, and 'per_m_to_db_per_mm_power' is its inverse.
+    Non-finite inputs raise ArgumentError.
+    """
     if mode not in _DB_MODES:
         raise ArgumentError(
             f"unknown db_convert mode {mode!r}; expected one of {sorted(_DB_MODES)}"

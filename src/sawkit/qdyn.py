@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .numerics import FitResult, Series, bessel_j, least_squares
 
 __all__ = [
     "TwoLevelDrive",
-    "PulseSequence",
     "RabiFit",
     "PowerScalingFit",
     "rabi_population",
@@ -38,12 +37,12 @@ class TwoLevelDrive:
     """Drive parameters: cyclic Rabi frequency, detuning, decay time.
 
     rabi is the cyclic frequency of the population oscillation (the
-    period on resonance is 1/rabi); decay_tau may be math.inf for an
-    undamped drive.
+    period on resonance is 1/rabi); detuning may be an array to sweep
+    the drive; decay_tau may be math.inf for an undamped drive.
     """
 
     rabi: float
-    detuning: float = 0.0
+    detuning: Union[float, np.ndarray] = 0.0
     decay_tau: float = math.inf
 
     def __post_init__(self):
@@ -51,19 +50,6 @@ class TwoLevelDrive:
             raise ArgumentError("rabi frequency must be nonnegative")
         if not self.decay_tau > 0:
             raise ArgumentError("decay_tau must be positive (inf allowed)")
-
-
-@dataclass
-class PulseSequence:
-    """Optical init, acoustic drive, optical readout durations."""
-
-    init_optical: float
-    saw_pulse: float
-    readout_optical: float
-
-    def __post_init__(self):
-        if min(self.init_optical, self.saw_pulse, self.readout_optical) <= 0:
-            raise ArgumentError("pulse durations must be positive")
 
 
 @dataclass
@@ -87,17 +73,22 @@ def rabi_population(drive: TwoLevelDrive, t):
     P(t) = (omega² / (omega² + delta²)) sin²(pi sqrt(omega² + delta²) t)
     with cyclic omega and delta; a finite decay_tau relaxes the
     oscillation toward 1/2 as P = 1/2 + (P_ideal - 1/2) e^(-t/tau).
-    Accepts a scalar or array t (seconds, nonnegative).
+    Accepts a scalar or array t (seconds, nonnegative) and a scalar or
+    array drive.detuning; the two broadcast against each other, and
+    omega = delta = 0 gives P = 0.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ArgumentError("time must be nonnegative")
-    omega, delta = drive.rabi, drive.detuning
+    omega, delta = drive.rabi, np.asarray(drive.detuning, dtype=float)
     g2 = omega * omega + delta * delta
-    if g2 == 0:
-        ideal = np.zeros_like(t)
-    else:
-        ideal = (omega * omega / g2) * np.sin(math.pi * math.sqrt(g2) * t) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ideal = np.where(
+            g2 > 0,
+            (omega * omega / np.where(g2 > 0, g2, 1.0))
+            * np.sin(math.pi * np.sqrt(g2) * t) ** 2,
+            0.0,
+        )
     if math.isinf(drive.decay_tau):
         out = ideal
     else:
@@ -125,7 +116,7 @@ def simulate_rabi_trace(
             raise ArgumentError("noise requires an explicit seed")
         rng = np.random.default_rng(seed)
         y = y + rng.normal(0.0, noise_sigma, t.size)
-    return Series(t, y, x_unit="s", y_unit="population")
+    return Series(t, y)
 
 
 def _initial_rabi(t, y):
@@ -196,21 +187,10 @@ def odar_spectrum(rabi: float, f_spin: float, pulse_len: float, f_grid) -> Serie
     """
     if pulse_len <= 0:
         raise ArgumentError("pulse length must be positive")
-    if rabi < 0:
-        raise ArgumentError("rabi frequency must be nonnegative")
     f = np.asarray(f_grid, dtype=float)
     if f.size == 0:
         raise ArgumentError("frequency grid is empty")
-    delta = f - f_spin
-    g2 = rabi * rabi + delta * delta
-    with np.errstate(invalid="ignore", divide="ignore"):
-        y = np.where(
-            g2 > 0,
-            (rabi * rabi / np.where(g2 > 0, g2, 1.0))
-            * np.sin(math.pi * np.sqrt(g2) * pulse_len) ** 2,
-            0.0,
-        )
-    return Series(f, y, x_unit="Hz", y_unit="population")
+    return Series(f, rabi_population(TwoLevelDrive(rabi=rabi, detuning=f - f_spin), pulse_len))
 
 
 def fit_power_scaling(points: Sequence[Tuple[float, float]]) -> PowerScalingFit:
@@ -257,14 +237,12 @@ def sideband_spectrum(
     f = np.asarray(f_grid, dtype=float)
     if f.size == 0:
         raise ArgumentError("frequency grid is empty")
-    hw = linewidth / 2.0
     y = np.zeros_like(f)
     for k in range(-orders, orders + 1):
         # J_{-k} = (-1)^k J_k, so the squared weight only needs |k|
         weight = bessel_j(abs(k), mod_index) ** 2
-        d = f - (carrier + k * mod_freq)
-        y += weight * hw * hw / (d * d + hw * hw)
-    return Series(f, y, x_unit="Hz", y_unit="intensity")
+        y += numerics.lorentzian(f, (carrier + k * mod_freq, linewidth, weight, 0.0))
+    return Series(f, y)
 
 
 def series_csv(series: Series, x_name: str = "x", y_name: str = "y") -> bytes:

@@ -71,15 +71,12 @@ class CavityGeometry:
     lambda0: float
     n_mirror: int
     v_g: float
-    v_p: Optional[float] = None
 
     def __post_init__(self):
         if self.d <= 0 or self.lambda0 <= 0 or self.v_g <= 0:
             raise ArgumentError("geometry lengths and velocity must be positive")
         if self.n_mirror < 1:
             raise ArgumentError("n_mirror must be at least 1")
-        if self.v_p is not None and self.v_p <= 0:
-            raise ArgumentError("phase velocity must be positive when given")
 
 
 @dataclass
@@ -401,7 +398,7 @@ def finesse(q_total: float, lam: float, d: float, l_p: float) -> float:
 
 
 def phase_velocity(f0: float, lambda0: float) -> float:
-    """v_p = f0 lambda0."""
+    """Phase velocity f0 lambda0."""
     if f0 <= 0 or lambda0 <= 0:
         raise ArgumentError("frequency and wavelength must be positive")
     return f0 * lambda0

@@ -81,24 +81,13 @@ class StrainTensor:
             if abs(v) > 1:
                 raise ArgumentError(f"{name} magnitude exceeds 1, not a strain")
 
-    def scaled(self, factor: float) -> "StrainTensor":
-        return StrainTensor(
-            self.eps_xx * factor,
-            self.eps_yy * factor,
-            self.eps_zz * factor,
-            self.eps_xy * factor,
-            self.eps_yz * factor,
-            self.eps_zx * factor,
-        )
-
 
 @dataclass
 class GaussianBeam:
-    """Gaussian acoustic beam: waist w0, wavelength, strain at focus."""
+    """Gaussian acoustic beam: waist w0 and wavelength."""
 
     w0: float
     wavelength: float
-    u_max: float = 1.0
 
     def __post_init__(self):
         if self.w0 <= 0 or self.wavelength <= 0:
@@ -178,7 +167,7 @@ def coupling_rate(params: SivParams, b_x: float, eps: StrainTensor) -> float:
 
 
 def beam_profile(beam: GaussianBeam, r: float, z: float) -> float:
-    """Relative strain amplitude u/u_max of the Gaussian beam at (r, z).
+    """Strain amplitude of the Gaussian beam at (r, z), relative to focus.
 
     u(r, z) = (w0/w(z)) exp(-r²/w(z)²) with w(z) = w0 sqrt(1 + (z/z_R)²)
     and z_R = pi w0² / lambda.
@@ -233,15 +222,12 @@ def rabi_chain(
 ) -> float:
     """Full chain from RF drive power to the Rabi rate at one emitter.
 
-    Converts dBm to watts, attenuates through the loss chain, divides by
-    the single-phonon power at (f0, t0), and multiplies sqrt(n) by the
-    coupling rate at the transverse field for a resonant f0 drive, scaled
-    by the beam envelope at the emitter location. With no beam given the
-    emitter is taken at focus.
+    Takes the phonon number n from phonon_budget and multiplies sqrt(n)
+    by the coupling rate at the transverse field for a resonant f0 drive,
+    scaled by the beam envelope at the emitter location. With no beam
+    given the emitter is taken at focus.
     """
-    p_rf = 1e-3 * 10.0 ** (p_rf_dbm / 10.0)
-    p0 = single_phonon_power(f0, t0)
-    n = phonon_number(p_rf, loss_chain_db, p0)
+    n = phonon_budget(p_rf_dbm, loss_chain_db, f0, t0).n
     b_x = transverse_field(2.0 * math.pi * f0, params)
     g = coupling_rate(params, b_x, eps)
     u = 1.0

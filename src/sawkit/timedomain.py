@@ -22,7 +22,7 @@ from .errors import (
     ResolutionError,
 )
 from .ingest import NetworkSweep
-from .numerics import dft, grid_step
+from .numerics import db_convert, dft, grid_step
 
 __all__ = [
     "ImpulseResponse",
@@ -52,7 +52,6 @@ class ImpulseResponse:
 
     tau: np.ndarray
     h: np.ndarray
-    source_band: Tuple[float, float]
     window_gain: float = 1.0
 
     def __post_init__(self):
@@ -131,8 +130,7 @@ class LossModel:
 
     @property
     def alpha_db_per_mm(self) -> float:
-        # inverse of db_convert(db_per_mm_to_per_m_power)
-        return self.alpha * 10.0 / (1000.0 * math.log(10.0))
+        return db_convert(self.alpha, "per_m_to_db_per_mm_power")
 
 
 def _window_array(n: int, window: Optional[str], edge_fraction: float) -> np.ndarray:
@@ -179,8 +177,7 @@ def impulse_response(
     dtau = 1.0 / (m * df)
     tau = np.arange(m) * dtau
     gain = float(w.sum()) / math.sqrt(m)
-    band = (float(sweep.freqs[0]), float(sweep.freqs[-1]))
-    return ImpulseResponse(tau=tau, h=h, source_band=band, window_gain=gain)
+    return ImpulseResponse(tau=tau, h=h, window_gain=gain)
 
 
 def time_gate(sweep: NetworkSweep, gate: Tuple[float, float]) -> NetworkSweep:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sawkit.cli import main
+from sawkit.cli import _write_atomic, main
 from sawkit.ingest import parse_csv_sweep, parse_touchstone
 
 
@@ -26,6 +26,16 @@ def synth_fixture(runner, out_dir, name="synthetic.s2p", extra=()):
     )
     assert result.exit_code == 0, result.output
     return out_dir / name
+
+
+class TestWriteAtomic:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            _write_atomic(target, b"data")
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
 
 class TestSynth:

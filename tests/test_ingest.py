@@ -94,9 +94,17 @@ class TestParseTouchstone:
             parse_touchstone(text)
 
     def test_rejects_non_finite(self):
-        text = b"# GHZ S RI R 50\n1.0 nan 0 0 0 0 0 0 0\n2.0 0 0 0 0 0 0 0 0\n"
-        with pytest.raises(FormatError):
-            parse_touchstone(text)
+        # both parsers share one row reader, so they reject the same cells
+        for bad in ("nan", "inf", "-inf"):
+            touchstone = f"# GHZ S RI R 50\n1.0 0 0 0 0 0 0 0 0\n2.0 {bad} 0 0 0 0 0 0 0\n"
+            with pytest.raises(FormatError, match="line 3"):
+                parse_touchstone(touchstone.encode())
+            csv_text = f"freq_hz,s21_re,s21_im\n1e9,0.5,0\n2e9,0.4,{bad}\n"
+            with pytest.raises(FormatError, match="line 3"):
+                parse_csv_sweep(csv_text.encode())
+            db_text = f"freq_hz,s21_db,s21_deg\n1e9,-6,0\n2e9,{bad},0\n"
+            with pytest.raises(FormatError, match="line 3"):
+                parse_csv_sweep(db_text.encode())
 
     def test_rejects_empty(self):
         with pytest.raises(FormatError):
@@ -201,6 +209,15 @@ class TestCsv:
         except FormatError:
             return
         assert isinstance(sweep, NetworkSweep)
+
+
+class TestCrossFormat:
+    def test_db_touchstone_and_db_phase_csv_agree_bitwise(self):
+        sweep = make_sweep(n=257, seed=11)
+        touchstone = parse_touchstone(write_touchstone(sweep, representation="DB"))
+        csv_sweep = parse_csv_sweep(write_csv(sweep, sorted(sweep.s), representation="db_phase"))
+        for pair in sweep.s:
+            assert touchstone.pair(pair).tobytes() == csv_sweep.pair(pair).tobytes()
 
 
 class TestNetworkSweep:

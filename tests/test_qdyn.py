@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sawkit.errors import ArgumentError, FitError
 from sawkit.numerics import Series, bessel_j
 from sawkit.qdyn import (
-    PulseSequence,
     TwoLevelDrive,
     fit_power_scaling,
     fit_rabi,
@@ -293,9 +292,3 @@ class TestSeriesCsvAndTypes:
         t, p = lines[2].split(",")
         assert float(t) == 1.5e-9
         assert float(p) == 0.75
-
-    def test_pulse_sequence_validation(self):
-        seq = PulseSequence(init_optical=300e-9, saw_pulse=20e-9, readout_optical=300e-9)
-        assert seq.saw_pulse == 20e-9
-        with pytest.raises(ArgumentError):
-            PulseSequence(init_optical=0.0, saw_pulse=20e-9, readout_optical=300e-9)

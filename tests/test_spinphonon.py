@@ -185,7 +185,7 @@ class TestBeamProfile:
 
     @pytest.mark.parametrize("z", [0.0, 3e-5, 1.3e-4, 5e-4])
     def test_power_integral_z_invariant(self, z):
-        # Integrate (u/u_max)^2 2 pi r dr; the envelope carries constant power.
+        # Integrate the squared envelope times 2 pi r dr; the beam carries constant power.
         r = np.linspace(0.0, 8e-4, 200001)
         u = np.array([beam_profile(BEAM, ri, z) for ri in r])
         power = np.trapezoid(u * u * 2.0 * np.pi * r, r)
