@@ -62,7 +62,20 @@ class SIFloat(click.ParamType):
             self.fail(str(exc), param, ctx)
 
 
+class PositiveSIFloat(SIFloat):
+    """SIFloat for lengths, velocities and spacings: finite and above zero."""
+
+    name = "positive-si-float"
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not 0 < number < math.inf:
+            self.fail(f"{value!r} is not a positive finite number", param, ctx)
+        return number
+
+
 SI = SIFloat()
+POSITIVE_SI = PositiveSIFloat()
 
 
 def _fail(code: int, message) -> "NoReturn":  # noqa: F821 - doc only
@@ -132,8 +145,8 @@ pass_state = click.make_pass_decorator(AppState)
 def beam_options(command):
     """The Gaussian-beam flags shared by budget and coupling."""
     for option in reversed((
-        click.option("--waist", type=SI, default=None, help="Beam waist in m."),
-        click.option("--beam-wavelength", type=SI, default=None, help="Acoustic wavelength in m."),
+        click.option("--waist", type=POSITIVE_SI, default=None, help="Beam waist in m."),
+        click.option("--beam-wavelength", type=POSITIVE_SI, default=None, help="Acoustic wavelength in m."),
         click.option("--r", "r_loc", type=SI, default=0.0, help="Emitter radial offset in m."),
         click.option("--z", "z_loc", type=SI, default=0.0, help="Emitter axial offset in m."),
     )):
@@ -190,13 +203,13 @@ def _load_sweep(state: AppState, input_flag) -> ingest.NetworkSweep:
 
 @main.command()
 @click.option("--input", "input_path", type=click.Path(), default=None)
-@click.option("--d", type=SI, default=None, help="IDT separation in m.")
-@click.option("--lambda0", type=SI, default=None, help="Acoustic wavelength in m.")
+@click.option("--d", type=POSITIVE_SI, default=None, help="IDT separation in m.")
+@click.option("--lambda0", type=POSITIVE_SI, default=None, help="Acoustic wavelength in m.")
 @click.option("--n-mirror", type=int, default=None, help="Electrodes per mirror.")
-@click.option("--vg", type=SI, default=None, help="Group velocity in m/s.")
+@click.option("--vg", type=POSITIVE_SI, default=None, help="Group velocity in m/s.")
 @click.option("--alpha-db-mm", type=float, default=None, help="Propagation loss in dB/mm.")
 @click.option("--prominence", type=float, default=None, help="Peak prominence override.")
-@click.option("--spacing", type=SI, default=None, help="Minimum peak spacing in Hz.")
+@click.option("--spacing", type=POSITIVE_SI, default=None, help="Minimum peak spacing in Hz.")
 @click.option(
     "--coupling",
     type=click.Choice(["undercoupled", "overcoupled"]),
@@ -243,8 +256,8 @@ def cavity(state, input_path, d, lambda0, n_mirror, vg, alpha_db_mm, prominence,
 
 @main.command("echo-loss")
 @click.option("--input", "input_path", type=click.Path(), default=None)
-@click.option("--length", type=SI, default=None, help="Propagation length L in m.")
-@click.option("--vg", type=SI, default=None, help="Group velocity in m/s.")
+@click.option("--length", type=POSITIVE_SI, default=None, help="Propagation length L in m.")
+@click.option("--vg", type=POSITIVE_SI, default=None, help="Group velocity in m/s.")
 @click.option("--known-r", type=float, default=None, help="Known mirror power reflectivity.")
 @click.option("--known-alpha", type=float, default=None, help="Known attenuation in dB/mm.")
 @click.option("--n-max", type=int, default=4, show_default=True, help="Highest echo index.")
@@ -472,8 +485,8 @@ def simulate_sidebands(state, carrier, mod_freq, mod_index, linewidth, orders, p
 @click.option("--t", "t_eff", type=float, default=0.3, show_default=True, help="IDT conversion efficiency.")
 @click.option("--r", "r_eff", type=float, default=0.1, show_default=True, help="Mirror power reflectivity.")
 @click.option("--alpha-db-mm", type=float, default=3.2, show_default=True)
-@click.option("--length", type=SI, default=130e-6, show_default=True, help="Propagation length in m.")
-@click.option("--vg", type=SI, default=6161.0, show_default=True)
+@click.option("--length", type=POSITIVE_SI, default=130e-6, show_default=True, help="Propagation length in m.")
+@click.option("--vg", type=POSITIVE_SI, default=6161.0, show_default=True)
 @click.option("--f-lo", type=SI, default=2.8e9, show_default=True)
 @click.option("--f-hi", type=SI, default=4.8e9, show_default=True)
 @click.option("--n-points", type=int, default=4001, show_default=True)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.special
 
 from .errors import ArgumentError, FitError, GridError
 
@@ -281,6 +280,8 @@ def bessel_j(order: int, x: float) -> float:
     x = float(x)
     if not np.isfinite(x) or abs(x) > 20:
         raise ArgumentError(f"bessel argument {x!r} outside supported range |x| <= 20")
+    import scipy.special  # only the sideband comb needs it; keep it off the CLI start-up path
+
     return float(scipy.special.jv(order, x))
 
 

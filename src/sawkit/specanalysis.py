@@ -8,13 +8,13 @@ measured or synthesized sweep.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.signal
 
 from . import numerics
 from .errors import ArgumentError, FitError, InconsistencyError
@@ -131,6 +131,59 @@ class DoubleLorentzianFit(NamedTuple):
 # Peak finding and fitting
 
 
+def _prominent_peaks(y: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the local maxima of y with prominence >= min_prominence.
+
+    Index for index the same as ``scipy.signal.find_peaks(y,
+    prominence=min_prominence)[0]`` on finite y. A maximum is a strict
+    rise, an optional flat run and a strict fall; it sits at the midpoint
+    of its flat run. Its base on each side is the lowest sample between
+    it and the nearest strictly higher sample, or the array edge, and its
+    prominence is its height above the higher of the two bases.
+    """
+    y = np.asarray(y, dtype=float)
+    slope = np.sign(np.diff(y))
+    turns = np.flatnonzero(slope)
+    top = np.flatnonzero((slope[turns[:-1]] > 0) & (slope[turns[1:]] < 0))
+    peaks = (turns[top] + 1 + turns[top + 1]) // 2
+    if peaks.size == 0:
+        return peaks
+    # valleys[i] is the lowest sample between peaks i-1 and i, with the
+    # array edges standing in for peaks -1 and k
+    valleys = np.minimum.reduceat(y, np.concatenate(([0], peaks))).tolist()
+    heights = y[peaks].tolist()
+    left = _bases(heights, valleys[:-1])
+    right = _bases(heights[::-1], valleys[:0:-1])[::-1]
+    prominence = y[peaks] - np.maximum(left, right)
+    return peaks[prominence >= min_prominence]
+
+
+def _bases(heights: List[float], valleys: List[float]) -> List[float]:
+    """Base of each peak on the side the lists run from.
+
+    valleys[i] is the lowest sample between peak i and the peak before
+    it (or the array edge). Between two neighbouring peaks the samples
+    fall, then rise, so a sample higher than a peak lies beyond a higher
+    peak, or in the edge run before the edge run's lowest sample. A stack
+    of the peaks not yet overtaken therefore finds each base in O(k) over
+    the k peaks.
+    """
+    # the stack as two lists over a NaN sentinel: NaN <= height is false
+    # for every height, so the sentinel is never popped
+    stack_heights, stack_lows = [math.nan], [math.nan]
+    bases = []
+    for height, low in zip(heights, valleys):
+        while stack_heights[-1] <= height:
+            del stack_heights[-1]
+            below = stack_lows.pop()
+            if below < low:
+                low = below
+        bases.append(low)
+        stack_heights.append(height)
+        stack_lows.append(low)
+    return bases
+
+
 def find_peaks(trace: Series, min_prominence: float, min_spacing: float) -> List[float]:
     """Local maxima above a prominence, thinned to a minimum spacing.
 
@@ -141,16 +194,20 @@ def find_peaks(trace: Series, min_prominence: float, min_spacing: float) -> List
     if len(trace) < 3:
         raise ArgumentError("peak finding needs at least 3 samples")
     y = np.abs(trace.y) if np.iscomplexobj(trace.y) else np.asarray(trace.y, float)
-    idx, _ = scipy.signal.find_peaks(y, prominence=min_prominence)
-    if idx.size == 0:
-        return []
-    order = sorted(range(idx.size), key=lambda k: (-y[idx[k]], trace.x[idx[k]]))
-    kept: List[int] = []
-    for k in order:
-        f = trace.x[idx[k]]
-        if all(abs(f - trace.x[idx[j]]) >= min_spacing for j in kept):
-            kept.append(k)
-    return sorted(float(trace.x[idx[k]]) for k in kept)
+    if not np.all(np.isfinite(y)):
+        raise ArgumentError("peak finding needs finite samples")
+    idx = _prominent_peaks(y, min_prominence)
+    freqs = trace.x[idx]
+    # tallest first, lower frequency first among equal heights; a
+    # candidate survives when both kept neighbours in frequency are far enough
+    kept: List[float] = []
+    for f in freqs[np.lexsort((freqs, -y[idx]))].tolist():
+        j = bisect.bisect_left(kept, f)
+        if (j == 0 or f - kept[j - 1] >= min_spacing) and (
+            j == len(kept) or kept[j] - f >= min_spacing
+        ):
+            kept.insert(j, f)
+    return kept
 
 
 def _window_slice(trace: Series, window, min_samples: int):
@@ -233,7 +290,7 @@ def fit_double_lorentzian(trace: Series, window: Tuple[float, float]) -> DoubleL
     if np.ptp(y) <= 1e-14 * scale:
         raise FitError("degenerate fit: trace is flat in the window")
     off0 = float(np.median(y))
-    idx, _ = scipy.signal.find_peaks(y, prominence=0.05 * np.ptp(y))
+    idx = _prominent_peaks(y, 0.05 * np.ptp(y))
     idx = sorted(idx, key=lambda i: -y[i])[:2]
     if len(idx) == 0:
         idx = [int(np.argmax(y))]

@@ -210,6 +210,39 @@ class TestCavity:
         assert "<svg" in svg
 
 
+class TestPositiveFlags:
+    """Lengths, velocities and spacings below or at zero are bad usage."""
+
+    CAVITY = ["cavity", "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"]
+    BUDGET = ["budget", "--power-dbm", "0", "--g", "30k", "--f0", "3.8G", "--t0", "20n",
+              "--waist", "6.8u", "--beam-wavelength", "1.1u"]
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (CAVITY, "--d", "-50u"),
+            (CAVITY, "--lambda0", "-1.7u"),
+            (CAVITY, "--vg", "0"),
+            (CAVITY, "--spacing", "-1M"),
+            (["echo-loss", "--vg", "6161", "--known-r", "0.1"], "--length", "-130u"),
+            (["echo-loss", "--length", "130u", "--known-r", "0.1"], "--vg", "NaN"),
+            (["synth"], "--vg", "-6161"),
+            (["synth"], "--length", "1e400"),
+            (BUDGET, "--waist", "-6.8u"),
+            (BUDGET, "--beam-wavelength", "0"),
+        ],
+    )
+    def test_non_positive_value_exits_2(self, runner, tmp_path, command, flag, value):
+        out = tmp_path / "out"
+        args = list(command)
+        if command[0] in ("cavity", "echo-loss"):
+            args += ["--input", str(synth_fixture(runner, tmp_path / "in"))]
+        result = run(runner, ["--out-dir", str(out), *args, flag, value])
+        assert result.exit_code == 2, result.output
+        assert "positive finite" in result.output
+        assert not out.exists()
+
+
 class TestEchoLoss:
     def test_reference_alpha(self, runner, tmp_path):
         path = synth_fixture(runner, tmp_path)

@@ -70,3 +70,19 @@ def test_bare_import_loads_neither_numpy_nor_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split("\n")[:2] == ["[]", sawkit.__version__]
+
+
+def test_cli_and_analysis_modules_load_no_scipy():
+    src = str(Path(sawkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, sawkit.cli, sawkit.specanalysis, sawkit.qdyn; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+        "from sawkit.numerics import bessel_j; "
+        "import scipy.special; "
+        "print(bessel_j(1, 1.2) == float(scipy.special.jv(1, 1.2)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sawkit.errors import ArgumentError, FitError, InconsistencyError
 from sawkit.ingest import NetworkSweep
@@ -14,6 +15,7 @@ from sawkit.specanalysis import (
     CavityReport,
     LorentzianPeak,
     VelocityPair,
+    _prominent_peaks,
     cavity_report,
     combine_q,
     estimate_fsr,
@@ -272,6 +274,62 @@ class TestFindPeaks:
     def test_too_short(self):
         with pytest.raises(ArgumentError):
             find_peaks(Series(np.array([1.0, 2.0]), np.array([0.0, 1.0])), 0.1, 0.5)
+
+    def test_non_finite_trace(self):
+        x = np.linspace(0.0, 10.0, 11)
+        for bad in (np.nan, np.inf):
+            y = np.sin(x)
+            y[4] = bad
+            with pytest.raises(ArgumentError, match="finite"):
+                find_peaks(Series(x, y), 0.1, 1.0)
+
+    def test_thinning_matches_brute_force(self):
+        # rounded noise: hundreds of candidates, many of them equal in height
+        rng = np.random.default_rng(11)
+        x = np.linspace(3.5e9, 4.5e9, 4001)
+        y = np.round(rng.normal(size=x.size), 2)
+        spacing = 5 * (x[1] - x[0])
+        kept = []
+        for i in sorted(_prominent_peaks(y, 0.0), key=lambda i: (-y[i], x[i])):
+            if all(abs(x[i] - x[j]) >= spacing for j in kept):
+                kept.append(i)
+        expected = sorted(float(x[i]) for i in kept)
+        assert len(expected) > 500
+        assert find_peaks(Series(x, y), 0.0, spacing) == expected
+
+
+@st.composite
+def traces_and_prominences(draw):
+    """A trace of 3-500 samples and a minimum prominence of 0 or more.
+
+    Half the traces are small integers, whose ties make flat runs, with
+    extra copies of the end values so flat runs also touch both edges.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 500))
+        y = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+        p = draw(st.floats(0.0, 1.2)) * float(np.ptp(y))
+    else:
+        lead, trail = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        n = draw(st.integers(max(1, 3 - lead - trail), 500 - lead - trail))
+        body = draw(arrays(np.float64, n, elements=st.integers(0, 3).map(float)))
+        y = np.concatenate([np.full(lead, body[0]), body, np.full(trail, body[-1])])
+        # whole numbers hit prominence == p exactly, which must be kept
+        p = float(draw(st.integers(0, 4)))
+    return y, p
+
+
+class TestProminentPeaksOracle:
+    @given(traces_and_prominences())
+    @example((np.array([1.0, 1.0, 0.0, 2.0, 2.0, 1.0, 3.0, 3.0]), 1.0))
+    @example((np.array([0.0, 2.0, 2.0, 2.0, 0.0, 2.0, 0.0]), 0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_find_peaks(self, case):
+        import scipy.signal
+
+        y, p = case
+        expected = scipy.signal.find_peaks(y, prominence=p)[0]
+        np.testing.assert_array_equal(_prominent_peaks(y, p), expected)
 
 
 class TestFitLorentzian:

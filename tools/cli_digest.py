@@ -49,6 +49,15 @@ EXTRA_CALLS = [
                        "--vg", "6161", "--known-r", "0.1"]),
     ("gate_db_phase_csv", ["gate", "--input", "{out}/convert_db_phase/sweep.csv",
                            "--start", "10n", "--stop", "200n", "--output", "gated.csv"]),
+    # prominence 0 keeps every noise maximum, so the spacing thinning
+    # decides which candidates are modes
+    ("cavity_peak_overrides", ["--config", "{fixtures}/device.cfg", "cavity",
+                               "--input", "{fixtures}/paper.s2p", "--prominence", "0",
+                               "--spacing", "30M"]),
+    # a cut just above the edge mode's prominence drops that mode, so the
+    # prominence values themselves decide the output
+    ("cavity_prominence_cut", ["--config", "{fixtures}/device.cfg", "cavity",
+                               "--input", "{fixtures}/paper.s2p", "--prominence", "0.5"]),
 ]
 
 
