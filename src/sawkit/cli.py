@@ -47,6 +47,10 @@ from .timedomain import (
 EXIT_USAGE = 2
 EXIT_ANALYSIS = 3
 
+# Largest sweep a flag may ask for, and largest oversampled transform
+# echo-loss may build: 2**22 points, 64 MiB per complex vector.
+MAX_POINTS = 1 << 22
+
 
 class SIFloat(click.ParamType):
     """Float flag accepting SI suffixes: 3.83G, 50u, -10.7."""
@@ -63,7 +67,7 @@ class SIFloat(click.ParamType):
 
 
 class PositiveSIFloat(SIFloat):
-    """SIFloat for lengths, velocities and spacings: finite and above zero."""
+    """SIFloat for lengths, velocities, spacings and frequencies: finite and above zero."""
 
     name = "positive-si-float"
 
@@ -260,7 +264,7 @@ def cavity(state, input_path, d, lambda0, n_mirror, vg, alpha_db_mm, prominence,
 @click.option("--vg", type=POSITIVE_SI, default=None, help="Group velocity in m/s.")
 @click.option("--known-r", type=float, default=None, help="Known mirror power reflectivity.")
 @click.option("--known-alpha", type=float, default=None, help="Known attenuation in dB/mm.")
-@click.option("--n-max", type=int, default=4, show_default=True, help="Highest echo index.")
+@click.option("--n-max", type=click.IntRange(min=0), default=4, show_default=True, help="Highest echo index.")
 @click.option(
     "--window",
     type=click.Choice(["raised_cosine", "none"]),
@@ -268,13 +272,18 @@ def cavity(state, input_path, d, lambda0, n_mirror, vg, alpha_db_mm, prominence,
     show_default=True,
 )
 @click.option("--edge-fraction", type=float, default=0.5, show_default=True)
-@click.option("--oversample", type=int, default=16, show_default=True)
+@click.option("--oversample", type=click.IntRange(min=1), default=16, show_default=True)
 @pass_state
 def echo_loss(state, input_path, length, vg, known_r, known_alpha, n_max, window, edge_fraction, oversample):
     """Extract propagation loss from the echo train of a sweep."""
     if (known_r is None) == (known_alpha is None):
         _usage_error("supply exactly one of --known-r or --known-alpha")
     sweep = _load_sweep(state, input_path)
+    if sweep.freqs.size * oversample > MAX_POINTS:
+        _usage_error(
+            f"{sweep.freqs.size} points x --oversample {oversample} exceeds "
+            f"the {MAX_POINTS}-point transform limit"
+        )
     length = state.cfg_value("length", length)
     vg = state.cfg_value("vg", vg)
     if length is None or vg is None:
@@ -487,11 +496,11 @@ def simulate_sidebands(state, carrier, mod_freq, mod_index, linewidth, orders, p
 @click.option("--alpha-db-mm", type=float, default=3.2, show_default=True)
 @click.option("--length", type=POSITIVE_SI, default=130e-6, show_default=True, help="Propagation length in m.")
 @click.option("--vg", type=POSITIVE_SI, default=6161.0, show_default=True)
-@click.option("--f-lo", type=SI, default=2.8e9, show_default=True)
-@click.option("--f-hi", type=SI, default=4.8e9, show_default=True)
-@click.option("--n-points", type=int, default=4001, show_default=True)
+@click.option("--f-lo", type=POSITIVE_SI, default=2.8e9, show_default=True)
+@click.option("--f-hi", type=POSITIVE_SI, default=4.8e9, show_default=True)
+@click.option("--n-points", type=click.IntRange(16, MAX_POINTS), default=4001, show_default=True)
 @click.option("--crosstalk", type=float, default=0.0, show_default=True, help="Flat crosstalk amplitude.")
-@click.option("--idt-center", type=SI, default=None, help="Passband center in Hz.")
+@click.option("--idt-center", type=POSITIVE_SI, default=None, help="Passband center in Hz.")
 @click.option("--idt-bw", type=float, default=None, help="Fractional passband width.")
 @click.option("--noise", type=float, default=0.0, show_default=True)
 @click.option("--name", default="synthetic.s2p", show_default=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import array
 import csv
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -36,6 +35,9 @@ PortPair = Tuple[int, int]
 PORT_PAIRS: Tuple[PortPair, ...] = ((1, 1), (2, 1), (1, 2), (2, 2))
 
 _FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
+
+# rows formatted per call in _write_rows
+_WRITE_BLOCK = 4096
 
 
 def pair_name(pair: PortPair) -> str:
@@ -84,8 +86,8 @@ class NetworkSweep:
                 )
             clean[pair] = vec
         self.s = clean
-        if self.ref_impedance <= 0:
-            raise ArgumentError("reference impedance must be positive")
+        if not 0 < self.ref_impedance < math.inf:
+            raise ArgumentError("reference impedance must be positive and finite")
 
     def pair(self, pair: PortPair) -> np.ndarray:
         try:
@@ -135,6 +137,10 @@ def _parse_option_line(line: str, lineno: int):
                 raise FormatError(
                     f"bad impedance {tokens[i]!r} in option line", lineno
                 ) from None
+            if not 0 < impedance < math.inf:
+                raise FormatError(
+                    f"impedance {tokens[i]!r} in option line is not positive and finite", lineno
+                )
         else:
             raise FormatError(f"unknown option token {tokens[i]!r}", lineno)
         i += 1
@@ -148,7 +154,7 @@ def _read_rows(rows, forms, f_scale: float = 1.0):
     per entry of forms, where 'RI' is real/imaginary, 'MA'
     magnitude/degrees and 'DB' dB/degrees. Frequencies are scaled by
     f_scale and must rise strictly. A cell that is not a finite number
-    raises a FormatError at its line. Returns the frequency list and a
+    raises a FormatError at its line. Returns the frequency vector and a
     (rows, pairs) complex array.
     """
     freqs, table = [], array.array("d")
@@ -165,6 +171,39 @@ def _read_rows(rows, forms, f_scale: float = 1.0):
         freqs.append(f)
         table.extend(nums)
     grid = np.frombuffer(table, dtype=float).reshape(-1, 1 + 2 * len(forms))
+    return np.array(freqs, dtype=float), _complex_values(grid, forms)
+
+
+def _read_bulk(lines, forms, f_scale: float = 1.0, **loadtxt_args):
+    """_read_rows over whole data lines at once, for input it would accept.
+
+    Returns None, without raising, wherever _read_rows might raise: a
+    cell that numpy does not parse as a number, a ragged or wrongly sized
+    grid, a non-finite value, frequencies that do not rise strictly, or
+    no lines. numpy parses a number it accepts to the same double as
+    float(). The caller then runs the row loop for the line-numbered error.
+    """
+    if not lines:
+        return None  # loadtxt warns on empty input
+    try:
+        grid = np.loadtxt(lines, dtype=float, comments=None, ndmin=2, **loadtxt_args)
+    except ValueError:
+        return None
+    if grid.shape[1] != 1 + 2 * len(forms) or not np.isfinite(grid).all():
+        return None
+    freqs = grid[:, 0] * f_scale
+    if not (freqs[1:] > freqs[:-1]).all():
+        return None
+    return freqs, _complex_values(grid, forms)
+
+
+def _complex_values(grid: np.ndarray, forms) -> np.ndarray:
+    """A (rows, 1 + 2 * pairs) number grid to a (rows, pairs) complex array.
+
+    Column 0 is the frequency, then one (a, b) pair per entry of forms.
+    MA and DB use math, not numpy ufuncs, whose SIMD sin/cos may differ
+    from libm in the last bit.
+    """
     values = np.empty((grid.shape[0], len(forms)), dtype=complex)
     values.real, values.imag = grid[:, 1::2], grid[:, 2::2]
     for k, form in enumerate(forms):
@@ -174,27 +213,35 @@ def _read_rows(rows, forms, f_scale: float = 1.0):
                 mag = [10.0 ** (a / 20.0) for a in mag]
             rad = map(math.radians, deg)
             values[:, k] = [complex(m * math.cos(r), m * math.sin(r)) for m, r in zip(mag, rad)]
-    return freqs, values
+    return values
 
 
-def _write_row(f: float, values, form: str):
-    """Writer side of both formats: a frequency and S values as text cells.
+def _write_rows(freqs: np.ndarray, columns, form: str, sep: str) -> str:
+    """Writer side of both formats: frequencies and S-value columns as text rows.
 
-    form is 'RI', 'MA' or 'DB' as for _read_rows; every number carries 17
-    significant digits.
+    form is 'RI', 'MA' or 'DB' as for _read_rows. Cells are joined by sep,
+    every row ends in a newline, and every number carries 17 significant
+    digits. The magnitude is np.hypot, which calls libm's hypot as abs()
+    of a complex does; np.abs has a SIMD kernel that can differ in the
+    last bit. log10 and atan2 use math for the reason given in
+    _complex_values.
     """
-    cells = [f"{f:.17g}"]
-    for v in values:
+    cells = [freqs]
+    for v in columns:
         if form == "RI":
-            a, b = v.real, v.imag
+            cells += (v.real, v.imag)
         else:
-            a = abs(v)
+            mag = np.hypot(v.real, v.imag).tolist()
             if form == "DB":
                 # floor far below any measurable level instead of -inf
-                a = 20.0 * math.log10(a) if a > 0 else -400.0
-            b = math.degrees(math.atan2(v.imag, v.real))
-        cells += (f"{a:.17g}", f"{b:.17g}")
-    return cells
+                mag = [20.0 * math.log10(a) if a > 0 else -400.0 for a in mag]
+            deg = map(math.degrees, map(math.atan2, v.imag.tolist(), v.real.tolist()))
+            cells += (mag, list(deg))
+    grid = np.column_stack(cells)
+    row = sep.join(["%.17g"] * grid.shape[1]) + "\n"
+    # blocks of rows keep few float objects alive at once
+    blocks = np.split(grid, range(_WRITE_BLOCK, grid.shape[0], _WRITE_BLOCK))
+    return "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 def parse_touchstone(data) -> NetworkSweep:
@@ -206,11 +253,11 @@ def parse_touchstone(data) -> NetworkSweep:
     Touchstone v2 keyword blocks are rejected.
     """
     text = _decode(data)
+    # every line with its comment cut and its ends stripped
+    lines = [raw.partition("!")[0].strip() for raw in text.splitlines()]
 
     def content():
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            cut = raw.find("!")
-            line = (raw if cut < 0 else raw[:cut]).strip()
+        for lineno, line in enumerate(lines, start=1):
             if line.startswith("["):
                 raise FormatError(
                     f"Touchstone v2 keyword {line.split()[0]} not supported; "
@@ -221,17 +268,18 @@ def parse_touchstone(data) -> NetworkSweep:
                 yield lineno, line
 
     # the option line must come first; data_rows resumes after it
-    lines = content()
-    for lineno, line in lines:
+    rest = content()
+    for lineno, line in rest:
         if not line.startswith("#"):
             raise FormatError("data before the option line (missing '#' line)", lineno)
         unit_scale, form, impedance = _parse_option_line(line, lineno)
         break
     else:
         raise FormatError("missing option line (no '#' line found)")
+    forms = (form,) * len(PORT_PAIRS)
 
     def data_rows():
-        for lineno, line in lines:
+        for lineno, line in rest:
             if line.startswith("#"):
                 raise FormatError("second option line", lineno)
             parts = line.split()
@@ -241,11 +289,13 @@ def parse_touchstone(data) -> NetworkSweep:
                 )
             yield lineno, parts
 
-    freqs, values = _read_rows(data_rows(), (form,) * len(PORT_PAIRS), unit_scale)
-    if not freqs:
+    # a '#' or '[' line fails loadtxt's number parse, so the row loop reports it
+    parsed = _read_bulk(list(filter(None, lines[lineno:])), forms, unit_scale)
+    freqs, values = parsed or _read_rows(data_rows(), forms, unit_scale)
+    if not freqs.size:
         raise FormatError("no data rows")
     s = {pair: values[:, k] for k, pair in enumerate(PORT_PAIRS)}
-    return NetworkSweep(freqs=np.asarray(freqs), s=s, ref_impedance=impedance)
+    return NetworkSweep(freqs=freqs, s=s, ref_impedance=impedance)
 
 
 def write_touchstone(sweep: NetworkSweep, unit: str = "GHZ", representation: str = "RI") -> bytes:
@@ -261,16 +311,12 @@ def write_touchstone(sweep: NetworkSweep, unit: str = "GHZ", representation: str
     representation = representation.upper()
     if representation not in ("RI", "MA", "DB"):
         raise ArgumentError(f"unknown representation {representation!r}")
-    scale = _FREQ_UNITS[unit]
-    lines = []
-    if sweep.label:
-        lines.append(f"! {sweep.label}")
-    lines.append(f"# {unit} S {representation} R {sweep.ref_impedance:.17g}")
+    head = f"! {sweep.label}\n" if sweep.label else ""
+    head += f"# {unit} S {representation} R {sweep.ref_impedance:.17g}\n"
     zeros = np.zeros(sweep.freqs.size, dtype=complex)
     columns = [sweep.s.get(pair, zeros) for pair in PORT_PAIRS]
-    for f, *values in zip(sweep.freqs, *columns):
-        lines.append(" ".join(_write_row(f / scale, values, representation)))
-    return ("\n".join(lines) + "\n").encode()
+    rows = _write_rows(sweep.freqs / _FREQ_UNITS[unit], columns, representation, " ")
+    return (head + rows).encode()
 
 
 _CSV_SUFFIXES = ("re", "im", "db", "deg")
@@ -308,12 +354,17 @@ def parse_csv_sweep(data, column_spec: Optional[Dict[str, str]] = None) -> Netwo
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise FormatError("empty CSV input")
-    try:
-        rows = list(csv.reader(lines))
-    except csv.Error as exc:
-        raise FormatError(f"malformed CSV: {exc}") from None
-    if not rows:  # pragma: no cover - lines is non-empty
-        raise FormatError("empty CSV input")
+
+    def csv_rows(lines):
+        try:
+            return list(csv.reader(lines))
+        except csv.Error as exc:
+            raise FormatError(f"malformed CSV: {exc}") from None
+
+    # without a quote or a line as long as the field size limit, csv.reader
+    # cannot fail and splits at every comma, so the data rows may bypass it
+    plain = '"' not in text and max(map(len, lines)) < csv.field_size_limit()
+    rows = csv_rows(lines[:1] if plain else lines)
     header = [h.strip() for h in rows[0]]
     index = {name: i for i, name in enumerate(header)}
 
@@ -347,21 +398,27 @@ def parse_csv_sweep(data, column_spec: Optional[Dict[str, str]] = None) -> Netwo
         raise FormatError(
             f"no S-parameter columns found; available: {', '.join(header)}"
         )
-    cells = operator.itemgetter(fcol, *(i for _, ia, ib in pair_cols.values() for i in (ia, ib)))
+    columns = (fcol, *(i for _, ia, ib in pair_cols.values() for i in (ia, ib)))
+    forms = [form for form, _, _ in pair_cols.values()]
 
     def data_rows():
-        for lineno, row in enumerate(rows[1:], start=2):
+        cells = operator.itemgetter(*columns)
+        for lineno, row in enumerate((csv_rows(lines) if plain else rows)[1:], start=2):
             if not any(map(str.strip, row)):
                 continue
             if len(row) != len(header):
                 raise FormatError(f"expected {len(header)} cells, got {len(row)}", lineno)
             yield lineno, cells(row)
 
-    freqs, values = _read_rows(data_rows(), [form for form, _, _ in pair_cols.values()])
-    if not freqs:
+    parsed = None
+    body = lines[1:]
+    if plain and all(ln.count(",") == len(header) - 1 for ln in body):
+        parsed = _read_bulk(body, forms, delimiter=",", usecols=columns)
+    freqs, values = parsed or _read_rows(data_rows(), forms)
+    if not freqs.size:
         raise FormatError("CSV has a header but no data rows")
     s = {pair: np.ascontiguousarray(values[:, k]) for k, pair in enumerate(pair_cols)}
-    return NetworkSweep(freqs=np.asarray(freqs), s=s)
+    return NetworkSweep(freqs=freqs, s=s)
 
 
 def write_csv(sweep: NetworkSweep, which: Iterable[PortPair], representation: str = "ri") -> bytes:
@@ -383,8 +440,5 @@ def write_csv(sweep: NetworkSweep, which: Iterable[PortPair], representation: st
     header = ["freq_hz"]
     for pair in pairs:
         header += [f"{pair_name(pair)}_{suffix}" for suffix in suffixes]
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for f, *values in zip(sweep.freqs, *(sweep.s[pair] for pair in pairs)):
-        out.write(",".join(_write_row(f, values, form)) + "\n")
-    return out.getvalue().encode()
+    rows = _write_rows(sweep.freqs, [sweep.s[pair] for pair in pairs], form, ",")
+    return (",".join(header) + "\n" + rows).encode()

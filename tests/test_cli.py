@@ -211,7 +211,7 @@ class TestCavity:
 
 
 class TestPositiveFlags:
-    """Lengths, velocities and spacings below or at zero are bad usage."""
+    """Lengths, velocities, spacings and frequencies below or at zero are bad usage."""
 
     CAVITY = ["cavity", "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"]
     BUDGET = ["budget", "--power-dbm", "0", "--g", "30k", "--f0", "3.8G", "--t0", "20n",
@@ -230,6 +230,10 @@ class TestPositiveFlags:
             (["synth"], "--length", "1e400"),
             (BUDGET, "--waist", "-6.8u"),
             (BUDGET, "--beam-wavelength", "0"),
+            (["synth"], "--f-lo", "-1G"),
+            (["synth"], "--f-lo", "0"),
+            (["synth"], "--f-hi", "1e400"),
+            (["synth", "--idt-bw", "0.2"], "--idt-center", "-3.8G"),
         ],
     )
     def test_non_positive_value_exits_2(self, runner, tmp_path, command, flag, value):
@@ -240,6 +244,34 @@ class TestPositiveFlags:
         result = run(runner, ["--out-dir", str(out), *args, flag, value])
         assert result.exit_code == 2, result.output
         assert "positive finite" in result.output
+        assert not out.exists()
+
+
+class TestIntegerFlags:
+    """Integer minimums and the point limit are bad usage, caught before allocating."""
+
+    ECHO = ["echo-loss", "--length", "130u", "--vg", "6161", "--known-r", "0.1"]
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            (["synth"], "--n-points", "5", "16<=x"),
+            # would need terabytes if it reached the allocation
+            (["synth"], "--n-points", "1000000000000", "x<=4194304"),
+            (ECHO, "--oversample", "0", "x>=1"),
+            (ECHO, "--n-max", "-1", "x>=0"),
+            # 4,001 input points times 10**9
+            (ECHO, "--oversample", "1000000000", "exceeds the 4194304-point transform limit"),
+        ],
+    )
+    def test_out_of_range_exits_2(self, runner, tmp_path, command, flag, value, message):
+        out = tmp_path / "out"
+        args = list(command)
+        if command[0] == "echo-loss":
+            args += ["--input", str(synth_fixture(runner, tmp_path / "in"))]
+        result = run(runner, ["--out-dir", str(out), *args, flag, value])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
         assert not out.exists()
 
 
@@ -376,6 +408,17 @@ class TestGateAndConvert:
         back = parse_csv_sweep((tmp_path / "converted.csv").read_bytes())
         original = parse_touchstone(path.read_bytes())
         assert np.allclose(back.pair((2, 1)), original.pair((2, 1)), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("impedance", ["nan", "inf", "0"])
+    def test_convert_bad_impedance_exits_2(self, runner, tmp_path, impedance):
+        path = tmp_path / "bad.s2p"
+        path.write_text(f"# GHZ S RI R {impedance}\n1 0 0 0 0 0 0 0 0\n")
+        out = tmp_path / "out"
+        result = run(runner, ["--out-dir", str(out), "convert", "--input", str(path),
+                              "--output", "x.s2p"])
+        assert result.exit_code == 2, result.output
+        assert "line 1: impedance" in result.output
+        assert not out.exists()
 
     def test_convert_bad_extension(self, runner, tmp_path):
         path = synth_fixture(runner, tmp_path)

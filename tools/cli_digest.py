@@ -49,6 +49,14 @@ EXTRA_CALLS = [
                        "--vg", "6161", "--known-r", "0.1"]),
     ("gate_db_phase_csv", ["gate", "--input", "{out}/convert_db_phase/sweep.csv",
                            "--start", "10n", "--stop", "200n", "--output", "gated.csv"]),
+    ("convert_csv_s2p", ["convert", "--input", "{out}/synth_csv/x.csv", "--output", "x.s2p"]),
+    ("convert_s2p_s2p", ["convert", "--input", "{fixtures}/echo.s2p", "--output", "echo.s2p"]),
+    # the readers' bulk path, past comments and blank lines, and their
+    # row-by-row path, which the underscore in one cell forces
+    ("convert_commented", ["convert", "--input", "{fixtures}/echo_commented.s2p",
+                           "--output", "echo.s2p"]),
+    ("convert_underscored", ["convert", "--input", "{fixtures}/echo_underscored.s2p",
+                             "--output", "echo.csv", "--representation", "db_phase"]),
     # prominence 0 keeps every noise maximum, so the spacing thinning
     # decides which candidates are modes
     ("cavity_peak_overrides", ["--config", "{fixtures}/device.cfg", "cavity",
@@ -65,6 +73,27 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def commented(touchstone: bytes, underscore: bool) -> bytes:
+    """A Touchstone text with comment lines, blank lines and inline comments.
+
+    With underscore, the first frequency cell gains a trailing "_0",
+    which float() reads as the same number and numpy's loadtxt rejects.
+    """
+    lines = touchstone.decode().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("#")) + 1
+    first = lines[start].split(" ", 1)
+    assert "." in first[0] and "e" not in first[0], first[0]
+    if underscore:
+        first[0] += "_0"
+    out = ["! written by cli_digest", "", *lines[:start], "", "! data",
+           " ".join(first) + "  ! first row"]
+    for i, row in enumerate(lines[start + 1:]):
+        out.append(row)
+        if i % 1000 == 500:
+            out += ["", "   ! indented comment", "\t"]
+    return ("\n".join(out) + "\n").encode()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="Fixture and noise seed.")
@@ -75,6 +104,9 @@ def main(argv=None) -> int:
     try:
         script = CliScript()
         script.setup(work, args.seed)
+        echo = (script.fixtures / "echo.s2p").read_bytes()
+        for name, underscore in (("echo_commented.s2p", False), ("echo_underscored.s2p", True)):
+            (script.fixtures / name).write_bytes(commented(echo, underscore))
         for fixture in sorted(script.fixtures.iterdir()):
             print(f"setup {fixture.name} {sha256(fixture.read_bytes())}")
 
