@@ -512,7 +512,11 @@ def synth(state, t_eff, r_eff, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
     if (idt_center is None) != (idt_bw is None):
         _usage_error("--idt-center and --idt-bw go together")
     if idt_center is not None:
+        if not 0 < idt_bw < math.inf:
+            _usage_error(f"--idt-bw {idt_bw!r} is not a positive finite number")
         idt = (idt_center, idt_bw)
+    if not f_hi > f_lo:
+        _usage_error(f"--f-hi {f_hi:g} Hz must exceed --f-lo {f_lo:g} Hz")
     if noise > 0 and state.seed is None:
         _usage_error("--noise needs --seed for reproducible output")
     try:

@@ -153,10 +153,12 @@ def _read_rows(rows, forms, f_scale: float = 1.0):
     rows yields (lineno, cells): the frequency cell, then one (a, b) pair
     per entry of forms, where 'RI' is real/imaginary, 'MA'
     magnitude/degrees and 'DB' dB/degrees. Frequencies are scaled by
-    f_scale and must rise strictly. A cell that is not a finite number
-    raises a FormatError at its line. Returns the frequency vector and a
-    (rows, pairs) complex array.
+    f_scale and must rise strictly. A cell that is not a finite number, a
+    frequency that overflows when scaled, or a dB value too large for a
+    magnitude raises a FormatError at its line. Returns the frequency
+    vector and a (rows, pairs) complex array.
     """
+    db_cells = [2 * k + 1 for k, form in enumerate(forms) if form == "DB"]
     freqs, table = [], array.array("d")
     for lineno, cells in rows:
         try:
@@ -166,8 +168,15 @@ def _read_rows(rows, forms, f_scale: float = 1.0):
         if not all(map(math.isfinite, nums)):
             raise FormatError("non-finite value in data row", lineno)
         f = nums[0] * f_scale
+        if not math.isfinite(f):
+            raise FormatError(f"frequency {nums[0]!r} overflows the unit scale", lineno)
         if freqs and f <= freqs[-1]:
             raise FormatError(f"frequency not strictly increasing at {nums[0]!r}", lineno)
+        for i in db_cells:
+            try:
+                _db_magnitude(nums[i])
+            except OverflowError:
+                raise FormatError(f"dB value {nums[i]!r} overflows a magnitude", lineno) from None
         freqs.append(f)
         table.extend(nums)
     grid = np.frombuffer(table, dtype=float).reshape(-1, 1 + 2 * len(forms))
@@ -179,9 +188,10 @@ def _read_bulk(lines, forms, f_scale: float = 1.0, **loadtxt_args):
 
     Returns None, without raising, wherever _read_rows might raise: a
     cell that numpy does not parse as a number, a ragged or wrongly sized
-    grid, a non-finite value, frequencies that do not rise strictly, or
-    no lines. numpy parses a number it accepts to the same double as
-    float(). The caller then runs the row loop for the line-numbered error.
+    grid, a non-finite value or scaled frequency, frequencies that do not
+    rise strictly, a dB value that overflows a magnitude, or no lines.
+    numpy parses a number it accepts to the same double as float(). The
+    caller then runs the row loop for the line-numbered error.
     """
     if not lines:
         return None  # loadtxt warns on empty input
@@ -191,10 +201,19 @@ def _read_bulk(lines, forms, f_scale: float = 1.0, **loadtxt_args):
         return None
     if grid.shape[1] != 1 + 2 * len(forms) or not np.isfinite(grid).all():
         return None
-    freqs = grid[:, 0] * f_scale
-    if not (freqs[1:] > freqs[:-1]).all():
+    with np.errstate(over="ignore"):
+        freqs = grid[:, 0] * f_scale
+    if not (np.isfinite(freqs).all() and (freqs[1:] > freqs[:-1]).all()):
         return None
-    return freqs, _complex_values(grid, forms)
+    try:
+        return freqs, _complex_values(grid, forms)
+    except OverflowError:
+        return None
+
+
+def _db_magnitude(db: float) -> float:
+    """Linear magnitude of a dB cell; OverflowError above about 6,165 dB."""
+    return 10.0 ** (db / 20.0)
 
 
 def _complex_values(grid: np.ndarray, forms) -> np.ndarray:
@@ -210,7 +229,7 @@ def _complex_values(grid: np.ndarray, forms) -> np.ndarray:
         if form != "RI":
             mag, deg = grid[:, 2 * k + 1].tolist(), grid[:, 2 * k + 2].tolist()
             if form == "DB":
-                mag = [10.0 ** (a / 20.0) for a in mag]
+                mag = list(map(_db_magnitude, mag))
             rad = map(math.radians, deg)
             values[:, k] = [complex(m * math.cos(r), m * math.sin(r)) for m, r in zip(mag, rad)]
     return values

@@ -354,6 +354,35 @@ def fit_echo_decay(
     return LossModel(t=t, r=r, alpha=alpha, length=length)
 
 
+def _one_minus(r: float, one_minus_r: float, angle: np.ndarray) -> np.ndarray:
+    """1 - r e^(-2i angle), its real part as (1 - r) + 2 r sin²(angle), free of cancellation."""
+    s, c = np.sin(angle), np.cos(angle)
+    return (one_minus_r + 2.0 * r * s * s) + 2j * r * s * c
+
+
+def _echo_sum(x: np.ndarray, rho: float, m: int) -> np.ndarray:
+    """Sum over n < m of rho^n e^(-i (2n+1) pi x), in O(x.size) memory.
+
+    With pi x = k pi + phi and |phi| <= pi/2 the sum is (-1)^k e^(-i phi)
+    (1 - q^m) / (1 - q), q = rho e^(-2i phi). Near the resonances phi = 0
+    it is formed without cancellation: for rho = 1 as the Dirichlet kernel
+    e^(-i (m-1) phi) sin(m phi) / sin(phi), which is m where sin(phi) = 0,
+    and for rho < 1 with 1 - rho^m from expm1.
+    """
+    k = np.rint(x)
+    phi = np.pi * (x - k)
+    head = (1.0 - 2.0 * (k % 2)) * np.exp(-1j * phi)
+    if m == 1:
+        return head
+    if rho == 1.0:
+        s = np.sin(phi)
+        ratio = np.divide(np.sin(m * phi), s, out=np.full_like(phi, float(m)), where=s != 0)
+        return head * np.exp(-1j * (m - 1) * phi) * ratio
+    log_rho_m = m * math.log(rho)
+    numerator = _one_minus(math.exp(log_rho_m), -math.expm1(log_rho_m), m * phi)
+    return head * numerator / _one_minus(rho, 1.0 - rho, phi)
+
+
 def synthesize_echo_network(
     model: LossModel,
     v_g: float,
@@ -368,9 +397,12 @@ def synthesize_echo_network(
     """Forward model: S21 as a sum of delayed, attenuated echo arrivals.
 
     Each arrival n has amplitude sqrt(T² R^(2n) e^(-alpha (2n+1) L)) and
-    delay (2n+1) L / v_g. The series is truncated once the omitted tail
-    falls below 1e-6 of the first term (or once arrivals leave the
-    transform's unaliased time window when R e^(-alpha L) = 1).
+    delay (2n+1) L / v_g. The series is truncated at N <= 10,000 once the
+    omitted tail falls below 1e-6 of the first term (or once arrivals
+    leave the transform's unaliased time window when rho = R e^(-alpha L)
+    = 1), and summed in O(n_points) memory as the Fabry–Pérot transmission
+    T e^(-alpha L/2) e^(-i theta) (1 - q^(N+1)) / (1 - q), with
+    q = rho e^(-2i theta) and theta = 2 pi f L / v_g.
     idt_response = (center_hz, fractional_bandwidth) multiplies in a
     raised-cosine passband envelope. Complex Gaussian noise of scale
     noise_sigma requires an explicit seed; the RNG is never ambient.
@@ -396,13 +428,10 @@ def synthesize_echo_network(
         n_cut = int(math.floor((t_window * v_g / model.length - 1.0) / 2.0))
     n_cut = max(0, min(n_cut, 10000))
 
-    ns = np.arange(n_cut + 1)
-    amplitude = model.t * model.r**ns * np.exp(-model.alpha * (2 * ns + 1) * model.length / 2.0)
-    delays = (2 * ns + 1) * model.length / v_g
     s21 = np.full(n_points, complex(crosstalk))
     if model.t > 0:
-        phases = np.exp(-2j * np.pi * np.outer(f, delays))
-        arrivals = phases @ amplitude.astype(complex)
+        amplitude = model.t * math.exp(-model.alpha * model.length / 2.0)
+        arrivals = amplitude * _echo_sum(f * (2.0 * model.length / v_g), rho, n_cut + 1)
         if idt_response is not None:
             center, frac_bw = idt_response
             if center <= 0 or frac_bw <= 0:

@@ -275,6 +275,28 @@ class TestIntegerFlags:
         assert not out.exists()
 
 
+class TestSynthUsage:
+    """Flag combinations synthesis cannot honour are bad usage, not analysis failures."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--f-lo", "5G", "--f-hi", "4G"], "--f-hi 4e+09 Hz must exceed --f-lo 5e+09 Hz"),
+            (["--f-lo", "4G", "--f-hi", "4G"], "must exceed --f-lo"),
+            (["--idt-bw", "0", "--idt-center", "3.8G"], "--idt-bw 0.0 is not a positive finite"),
+            (["--idt-bw", "-0.2", "--idt-center", "3.8G"], "is not a positive finite"),
+            (["--idt-bw", "inf", "--idt-center", "3.8G"], "is not a positive finite"),
+            (["--idt-bw", "nan", "--idt-center", "3.8G"], "is not a positive finite"),
+        ],
+    )
+    def test_exits_2(self, runner, tmp_path, flags, message):
+        out = tmp_path / "out"
+        result = run(runner, ["--out-dir", str(out), "synth", *flags])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+
 class TestEchoLoss:
     def test_reference_alpha(self, runner, tmp_path):
         path = synth_fixture(runner, tmp_path)
@@ -418,6 +440,27 @@ class TestGateAndConvert:
                               "--output", "x.s2p"])
         assert result.exit_code == 2, result.output
         assert "line 1: impedance" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("db.s2p", "# GHZ S DB R 50\n1 7000 0 0 0 0 0 0 0\n",
+             "line 2: dB value 7000.0 overflows a magnitude"),
+            ("db.csv", "freq_hz,s21_db,s21_deg\n1e9,7000,0\n",
+             "line 2: dB value 7000.0 overflows a magnitude"),
+            ("ghz.s2p", "# GHZ S RI R 50\n1e300 0 0 0 0 0 0 0 0\n",
+             "line 2: frequency 1e+300 overflows the unit scale"),
+        ],
+    )
+    def test_convert_overflowing_cell_exits_2(self, runner, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "out"
+        result = run(runner, ["--out-dir", str(out), "convert", "--input", str(path),
+                              "--output", "x.s2p"])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
         assert not out.exists()
 
     def test_convert_bad_extension(self, runner, tmp_path):

@@ -155,6 +155,24 @@ class TestParseTouchstone:
             with pytest.raises(FormatError, match="line 3"):
                 parse_csv_sweep(db_text.encode())
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_db_beyond_largest_magnitude(self):
+        # 10 ** (7000 / 20) overflows a float; -7000 dB is a zero magnitude
+        touchstone = b"# GHZ S DB R 50\n1 -7000 0 0 0 0 0 0 0\n2 7000 0 0 0 0 0 0 0\n"
+        with pytest.raises(FormatError, match="line 3: dB value 7000.0 overflows a magnitude"):
+            parse_touchstone(touchstone)
+        db_text = b"freq_hz,s21_db,s21_deg\n1e9,-7000,0\n2e9,7000,0\n"
+        with pytest.raises(FormatError, match="line 3: dB value 7000.0 overflows a magnitude"):
+            parse_csv_sweep(db_text)
+        assert parse_touchstone(touchstone.replace(b" 7000", b" 6000")).pair((1, 1))[1] > 1e299
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_frequency_overflowing_unit(self):
+        text = b"# GHZ S RI R 50\n1 0 0 0 0 0 0 0 0\n1e300 0 0 0 0 0 0 0 0\n"
+        with pytest.raises(FormatError, match="line 3: frequency 1e[+]300 overflows the unit"):
+            parse_touchstone(text)
+        assert parse_touchstone(text.replace(b"GHZ", b"HZ")).freqs[1] == 1e300
+
     def test_rejects_empty(self):
         with pytest.raises(FormatError):
             parse_touchstone(b"! nothing here\n")
@@ -338,6 +356,8 @@ class TestNetworkSweep:
 JUNK_CELLS = [
     "nan", "inf", "-inf", "1_0", "2.5_0", "5#6", "1!2", "#", "[1]", "abc", "", " ",
     '"1.5"', '"1,5"', "0x1p3", "\u0661", "1e400", "-0", "+.5", "1.", "5e-324",
+    # beyond the largest magnitude as dB, beyond the largest frequency in GHz
+    "7000", "1e300",
 ]
 # \x0b and \x0c also end a line for str.splitlines
 SEPARATORS = [" ", "\t", "  ", "\x0b", "\x0c", "\xa0", " \u2003"]
@@ -427,6 +447,8 @@ class TestBulkMatchesRowLoop:
     @example("# GHZ S RI R 50\n1 0 0 0 0 0 0 0 0\n2 0 nan 0 0 0 0 0 0\n")
     @example("# GHZ S MA R 50\n1 0 0 0 0 0 0 0 0\n2 0 1_0 0 0 0 0 0 0\n")
     @example("# GHZ S RI R 50\n1 0 0 0 0 0 0 0 0\n[Data]\n")
+    @example("# GHZ S DB R 50\n1 0 0 0 0 0 0 0 0\n2 0 0 7000 0 0 0 0 0\n")
+    @example("# GHZ S RI R 50\n1 0 0 0 0 0 0 0 0\n1e300 0 0 0 0 0 0 0 0\n")
     @settings(max_examples=300, deadline=None)
     def test_touchstone(self, text):
         self.assert_same(parse_touchstone, text)
@@ -436,6 +458,7 @@ class TestBulkMatchesRowLoop:
     @example("freq_hz,s21_re,s21_im,note\n1e9,0,0\n2e9,0,0,x\n")
     @example('freq_hz,s21_re,s21_im,note\n1e9,0,0,"x\n2e9,0,0,y"\n')
     @example("freq_hz,s21_db,s21_deg\n1e9,-6,0\n 2e9 ,\xa0-3_0,5\n")
+    @example("freq_hz,s21_db,s21_deg\n1e9,-6,0\n2e9,7000,5\n")
     @settings(max_examples=300, deadline=None)
     def test_csv(self, text):
         self.assert_same(parse_csv_sweep, text)

@@ -1,6 +1,8 @@
 """Impulse response, time gating, echo detection, and loss regression."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +347,206 @@ class TestSynthesizeEchoNetwork:
     def test_band_must_have_width(self):
         with pytest.raises(ArgumentError):
             synthesize_echo_network(REF_MODEL, V_G, (4.3e9, 3.3e9), 64)
+
+
+def reference_n_cut(model, v_g, df):
+    """The echo series' last index N, by the rules synthesize_echo_network documents."""
+    rho = model.r * math.exp(-model.alpha * model.length)
+    if rho <= 0:
+        n_cut = 0
+    elif rho < 1:
+        n_cut = int(math.ceil(math.log(1e-6) / math.log(rho)))
+    else:
+        n_cut = int(math.floor((v_g / (df * model.length) - 1.0) / 2.0))
+    return max(0, min(n_cut, 10000))
+
+
+def explicit_echo_sum(model, v_g, f, n_cut):
+    """The echo series term by term, as a phase matrix over blocks of echoes."""
+    ns = np.arange(n_cut + 1)
+    amplitude = model.t * model.r**ns * np.exp(-model.alpha * (2 * ns + 1) * model.length / 2.0)
+    delays = (2 * ns + 1) * model.length / v_g
+    total = np.zeros(f.size, dtype=complex)
+    block = max(1, (1 << 19) // f.size)
+    for lo in range(0, ns.size, block):
+        phases = np.exp(-2j * np.pi * np.outer(f, delays[lo:lo + block]))
+        total += phases @ amplitude[lo:lo + block].astype(complex)
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_arrivals(t, r, alpha, length, v_g, band, n_points):
+    model = LossModel(t=t, r=r, alpha=alpha, length=length)
+    f = np.linspace(band[0], band[1], n_points)
+    arrivals = explicit_echo_sum(model, v_g, f, reference_n_cut(model, v_g, f[1] - f[0]))
+    arrivals.flags.writeable = False
+    return arrivals
+
+
+def reference_synthesis(model, v_g, band, n_points, crosstalk=0.0, idt_response=None):
+    """S21 of synthesize_echo_network from the explicit echo sum: the closed form's oracle."""
+    f = np.linspace(band[0], band[1], n_points)
+    arrivals = _reference_arrivals(model.t, model.r, model.alpha, model.length, v_g,
+                                   tuple(band), n_points)
+    if idt_response is not None:
+        center, frac_bw = idt_response
+        half = center * frac_bw / 2.0
+        x = np.clip((f - center) / half, -1.0, 1.0)
+        arrivals = arrivals * np.where(np.abs(f - center) <= half, np.cos(np.pi * x / 2.0) ** 2, 0.0)
+    return np.full(n_points, complex(crosstalk)) + arrivals
+
+
+def relative_error(sweep, reference):
+    return float(np.max(np.abs(sweep.pair((2, 1)) - reference)) / np.max(np.abs(reference)))
+
+
+def phase_rounding(model, v_g, band, n_points):
+    """First-order change of the echo sum when theta moves by one rounding.
+
+    Term n turns by (2n+1) theta eps; at worst the turns add up
+    coherently. Both sums evaluate rounded phases, so they may differ by
+    this much even where each is as exact as double precision allows.
+    """
+    n_cut = reference_n_cut(model, v_g, (band[1] - band[0]) / (n_points - 1))
+    ns = np.arange(n_cut + 1)
+    amplitude = model.t * model.r**ns * np.exp(-model.alpha * (2 * ns + 1) * model.length / 2.0)
+    theta = 2.0 * np.pi * band[1] * model.length / v_g
+    return np.finfo(float).eps * theta * float(np.sum(amplitude * (2 * ns + 1)))
+
+
+def high_precision_sum(model, v_g, f, n_cut):
+    """explicit_echo_sum in closed form and to 30 digits, via mpmath."""
+    mp = pytest.importorskip("mpmath")
+    m = n_cut + 1
+    out = []
+    with mp.workdps(30):
+        length = mp.mpf(model.length)
+        rho = mp.mpf(model.r) * mp.exp(-mp.mpf(model.alpha) * length)
+        amplitude = model.t * mp.exp(-mp.mpf(model.alpha) * length / 2)
+        for fi in f:
+            theta = 2 * mp.pi * mp.mpf(fi) * length / mp.mpf(v_g)
+            q = rho * mp.exp(-2j * theta)
+            terms = (1 - q**m) / (1 - q) if q != 1 else m
+            out.append(complex(amplitude * mp.exp(-1j * theta) * terms))
+    return np.array(out)
+
+
+PAPER_LENGTH = 58.565e-6
+BAND = (2.8e9, 4.8e9)
+# 2 L / v_g = 2**-23 s and a 2**13 Hz step make every phase exact and put
+# a resonance on every 1,024th point; a lossless train keeps N + 1 = 1,024
+# echoes (wrap-around rule)
+DYADIC_LENGTH = 2.0**-12
+DYADIC_V_G = 2.0**12
+DYADIC_BAND = (300 * 2.0**23, 300 * 2.0**23 + 4000 * 2.0**13)
+
+
+class TestClosedFormOracle:
+    """The closed-form echo sum against the explicit sum it replaced."""
+
+    @pytest.mark.parametrize("n_points", [16, 4001])
+    @pytest.mark.parametrize("alpha_db", [0.0, 0.5, 3.2])
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.6, 0.95, 0.999999, 1.0])
+    @pytest.mark.parametrize(
+        "crosstalk, idt",
+        [(0.0, None), (0.02 - 0.01j, None), (0.0, (3.8e9, 0.3)), (0.05, (3.6e9, 0.5))],
+    )
+    def test_matches_explicit_sum(self, r, alpha_db, n_points, crosstalk, idt):
+        model = LossModel(t=0.3, r=r, alpha=alpha_per_m(alpha_db), length=130e-6)
+        sweep = synthesize_echo_network(model, V_G, BAND, n_points, crosstalk=crosstalk,
+                                        idt_response=idt)
+        reference = reference_synthesis(model, V_G, BAND, n_points, crosstalk, idt)
+        tolerance = 1e-11 + phase_rounding(model, V_G, BAND, n_points) / np.max(np.abs(reference))
+        assert relative_error(sweep, reference) <= tolerance
+        assert np.array_equal(sweep.pair((1, 2)), sweep.pair((2, 1)))
+
+    @pytest.mark.parametrize(
+        "r, n_points",
+        # 10,001 echoes on a grid that misses every resonance, and on a
+        # finer one; the lossless train keeps 47 (wrap-around rule)
+        [(0.999999, 16), (0.999999, 4001), (1.0, 4001)],
+    )
+    def test_near_lossless_against_high_precision(self, r, n_points):
+        # where phase_rounding allows the explicit sum a wide margin, a
+        # 30-digit evaluation of the same truncated series holds the
+        # closed form to 1e-9
+        model = LossModel(t=0.3, r=r, alpha=0.0, length=130e-6)
+        sweep = synthesize_echo_network(model, V_G, BAND, n_points)
+        picks = np.arange(0, n_points, 97)
+        n_cut = reference_n_cut(model, V_G, sweep.freqs[1] - sweep.freqs[0])
+        exact = high_precision_sum(model, V_G, sweep.freqs[picks], n_cut)
+        error = np.max(np.abs(sweep.pair((2, 1))[picks] - exact))
+        assert error <= 1e-9 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize(
+        "model, n_points",
+        [
+            (REF_MODEL, 4001),  # README echo device, 7 arrivals
+            (LossModel(t=0.3, r=0.95, alpha=alpha_per_m(0.5), length=PAPER_LENGTH), 4001),
+            (LossModel(t=0.3, r=0.6, alpha=alpha_per_m(2.0), length=PAPER_LENGTH), 4001),
+            (LossModel(t=0.3, r=0.95, alpha=alpha_per_m(0.5), length=PAPER_LENGTH), 64001),
+        ],
+        ids=["echo", "long_train", "paper_cavity", "long_train_64k"],
+    )
+    def test_benchmark_devices(self, model, n_points):
+        sweep = synthesize_echo_network(model, V_G, BAND, n_points)
+        assert relative_error(sweep, reference_synthesis(model, V_G, BAND, n_points)) <= 1e-11
+
+    def test_seeded_noise_unchanged(self):
+        quiet = synthesize_echo_network(REF_MODEL, V_G, BAND, 401)
+        noisy = synthesize_echo_network(REF_MODEL, V_G, BAND, 401, noise_sigma=1e-3, seed=9)
+        rng = np.random.default_rng(9)
+        noise = 1e-3 * (rng.standard_normal(401) + 1j * rng.standard_normal(401))
+        assert np.array_equal(noisy.pair((2, 1)), quiet.pair((2, 1)) + noise)
+
+    def test_lossless_resonance_is_exact(self):
+        model = LossModel(t=0.3, r=1.0, alpha=0.0, length=DYADIC_LENGTH)
+        s21 = synthesize_echo_network(model, DYADIC_V_G, DYADIC_BAND, 4001).pair((2, 1))
+        assert reference_n_cut(model, DYADIC_V_G, 2.0**13) + 1 == 1024
+        assert np.isfinite(s21).all()
+        hits = np.arange(0, 4001, 1024)
+        assert np.array_equal(np.abs(s21[hits]), np.full(hits.size, 0.3 * 1024))
+        assert np.array_equal(s21[hits].imag, np.zeros(hits.size))
+        reference = reference_synthesis(model, DYADIC_V_G, DYADIC_BAND, 4001)
+        assert np.max(np.abs(s21 - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("offset", [0.0, 2.0**-5])
+    @pytest.mark.parametrize("r", [1.0, 1.0 - 1e-9, 1.0 - 2.0**-40])
+    def test_resonances_on_exact_phases(self, r, offset):
+        # with exact phases only the echo sum itself can round. Near
+        # resonance 1 - rho cos(2 phi) and 1 - rho^m cos(2 m phi) would
+        # lose eps / (1 - rho) without the sin² and expm1 forms; the
+        # offset puts points at phi = pi 2**-28, where that shows
+        model = LossModel(t=0.3, r=r, alpha=0.0, length=DYADIC_LENGTH)
+        band = (DYADIC_BAND[0] + offset, DYADIC_BAND[1] + offset)
+        sweep = synthesize_echo_network(model, DYADIC_V_G, band, 4001)
+        picks = np.r_[np.arange(0, 4001, 1024), np.arange(1, 4001, 1024), np.arange(3, 4001, 97)]
+        n_cut = reference_n_cut(model, DYADIC_V_G, 2.0**13)
+        exact = high_precision_sum(model, DYADIC_V_G, sweep.freqs[picks], n_cut)
+        error = np.max(np.abs(sweep.pair((2, 1))[picks] - exact))
+        assert error <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("r", [1.0, 0.999999])
+    def test_memory_independent_of_echo_count(self, r):
+        # a 5 um path at 64,001 points reaches the 10,000-echo cap both
+        # losslessly (wrap-around rule) and near-losslessly (tail rule);
+        # a phase matrix would take 64,001 x 10,001 x 16 B = 10 GB
+        model = LossModel(t=0.3, r=r, alpha=0.0, length=5e-6)
+        n = 64001
+        df = (BAND[1] - BAND[0]) / (n - 1)
+        assert reference_n_cut(model, V_G, df) == 10000
+        tracemalloc.start()
+        try:
+            sweep = synthesize_echo_network(model, V_G, BAND, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        s21 = sweep.pair((2, 1))
+        assert np.isfinite(s21).all()
+        picks = np.arange(0, n, 1000)
+        reference = explicit_echo_sum(model, V_G, sweep.freqs[picks], 10000)
+        assert np.max(np.abs(s21[picks] - reference)) <= 1e-9 * np.max(np.abs(reference))
 
 
 class TestLossModelType:

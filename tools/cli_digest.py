@@ -13,6 +13,15 @@ checkouts can be compared output for output:
     PYTHONPATH=src python tools/cli_digest.py > new.txt
     diff old.txt new.txt    # empty when every output is byte-identical
 
+The fixtures come from synthesis, so a change to `synth` moves them too,
+and with them the hash of every call that reads one. With `--fixtures
+DIR` the first run writes its fixtures to DIR and later runs read them
+from there, so both checkouts see the same input bytes and only the
+outputs the change itself moves differ:
+
+    PYTHONPATH=<old checkout>/src python tools/cli_digest.py --fixtures fx > old.txt
+    PYTHONPATH=src python tools/cli_digest.py --fixtures fx > new.txt
+
 Exits 1 if any call fails.
 """
 
@@ -97,6 +106,8 @@ def commented(touchstone: bytes, underscore: bool) -> bytes:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="Fixture and noise seed.")
+    parser.add_argument("--fixtures", type=Path, metavar="DIR",
+                        help="Read the fixtures from DIR if it holds any, else write them there.")
     args = parser.parse_args(argv)
 
     work = Path(tempfile.mkdtemp(prefix="cli_digest-"))
@@ -104,16 +115,21 @@ def main(argv=None) -> int:
     try:
         script = CliScript()
         script.setup(work, args.seed)
-        echo = (script.fixtures / "echo.s2p").read_bytes()
+        fixtures = script.fixtures
+        echo = (fixtures / "echo.s2p").read_bytes()
         for name, underscore in (("echo_commented.s2p", False), ("echo_underscored.s2p", True)):
-            (script.fixtures / name).write_bytes(commented(echo, underscore))
-        for fixture in sorted(script.fixtures.iterdir()):
+            (fixtures / name).write_bytes(commented(echo, underscore))
+        if args.fixtures is not None:
+            if not (args.fixtures.is_dir() and any(args.fixtures.iterdir())):
+                shutil.copytree(fixtures, args.fixtures, dirs_exist_ok=True)
+            fixtures = args.fixtures.resolve()
+        for fixture in sorted(fixtures.iterdir()):
             print(f"setup {fixture.name} {sha256(fixture.read_bytes())}")
 
-        calls = [cli_args(i, script.fixtures, args.seed) for i in range(len(CLI_CYCLE))]
+        calls = [cli_args(i, fixtures, args.seed) for i in range(len(CLI_CYCLE))]
         out_root = work / "extra"
         calls += [
-            (name, [a.format(fixtures=script.fixtures, seed=args.seed, out=out_root)
+            (name, [a.format(fixtures=fixtures, seed=args.seed, out=out_root)
                     for a in template])
             for name, template in EXTRA_CALLS
         ]
@@ -122,7 +138,7 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True)
             proc = subprocess.run(
                 [sys.executable, "-m", "sawkit.cli", "--out-dir", str(out_dir), *call_args],
-                env=script.env, cwd=script.fixtures, capture_output=True,
+                env=script.env, cwd=fixtures, capture_output=True,
             )
             if proc.returncode != 0:
                 failed = True
@@ -130,6 +146,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
             # output paths echoed on stdout name the temporary work directory
             stdout = proc.stdout.replace(str(work).encode(), b"<work>")
+            stdout = stdout.replace(str(fixtures).encode(), b"<fixtures>")
             print(f"{name} <stdout> {sha256(stdout)}")
             for path in sorted(out_dir.iterdir()):
                 print(f"{name} {path.name} {sha256(path.read_bytes())}")
