@@ -6,7 +6,8 @@ spin-strain coupling estimates for color-center emitters, and two-level
 drive dynamics. A click CLI (`sawkit`) wraps the main workflows.
 
 Names below are loaded from their submodule on first access (PEP 562),
-so `import sawkit` by itself pulls in neither numpy nor scipy.
+so `import sawkit` by itself does not pull in numpy. No module imports
+scipy; the tests use it as a reference.
 """
 
 import importlib

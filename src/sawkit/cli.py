@@ -78,6 +78,22 @@ class PositiveSIFloat(SIFloat):
         return number
 
 
+class FiniteFloat(click.FloatRange):
+    """FloatRange that also rejects NaN, which passes every range comparison."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return number
+
+    def _describe_range(self) -> str:
+        # the --help text; click would print "x<=None" for an unbounded range
+        if self.min is None and self.max is None:
+            return "finite"
+        return super()._describe_range()
+
+
 SI = SIFloat()
 POSITIVE_SI = PositiveSIFloat()
 
@@ -418,7 +434,7 @@ def simulate():
 @click.option("--rabi-mhz", type=float, required=True, help="Rabi frequency in MHz.")
 @click.option("--decay-tau-ns", type=float, default=None, help="Decay time in ns (default: none).")
 @click.option("--t-max-ns", type=float, default=200.0, show_default=True)
-@click.option("--points", type=int, default=401, show_default=True)
+@click.option("--points", type=click.IntRange(2, MAX_POINTS), default=401, show_default=True)
 @click.option("--noise", type=float, default=0.0, show_default=True)
 @pass_state
 def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
@@ -445,7 +461,7 @@ def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
 @click.option("--f-spin-ghz", type=float, default=3.83, show_default=True)
 @click.option("--pulse-ns", type=float, default=20.0, show_default=True)
 @click.option("--span-mhz", type=float, default=200.0, show_default=True)
-@click.option("--points", type=int, default=801, show_default=True)
+@click.option("--points", type=click.IntRange(2, MAX_POINTS), default=801, show_default=True)
 @pass_state
 def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
     """Swept-drive resonance spectrum at fixed pulse length."""
@@ -466,10 +482,10 @@ def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
 @simulate.command("sidebands")
 @click.option("--carrier", type=SI, default=0.0, show_default=True, help="Carrier frequency in Hz.")
 @click.option("--mod-freq", type=SI, default=3.83e9, show_default=True, help="Modulation frequency in Hz.")
-@click.option("--mod-index", type=float, default=0.5, show_default=True)
+@click.option("--mod-index", type=FiniteFloat(-20, 20), default=0.5, show_default=True)
 @click.option("--linewidth", type=SI, default=1e9, show_default=True, help="Lorentzian FWHM in Hz.")
-@click.option("--orders", type=int, default=3, show_default=True)
-@click.option("--points", type=int, default=2001, show_default=True)
+@click.option("--orders", type=click.IntRange(0, 10), default=3, show_default=True)
+@click.option("--points", type=click.IntRange(2, MAX_POINTS), default=2001, show_default=True)
 @pass_state
 def simulate_sidebands(state, carrier, mod_freq, mod_index, linewidth, orders, points):
     """Bessel-weighted sideband comb around a carrier."""
@@ -491,18 +507,18 @@ def simulate_sidebands(state, carrier, mod_freq, mod_index, linewidth, orders, p
 
 
 @main.command()
-@click.option("--t", "t_eff", type=float, default=0.3, show_default=True, help="IDT conversion efficiency.")
-@click.option("--r", "r_eff", type=float, default=0.1, show_default=True, help="Mirror power reflectivity.")
-@click.option("--alpha-db-mm", type=float, default=3.2, show_default=True)
+@click.option("--t", "t_eff", type=FiniteFloat(0, 1), default=0.3, show_default=True, help="IDT conversion efficiency.")
+@click.option("--r", "r_eff", type=FiniteFloat(0, 1), default=0.1, show_default=True, help="Mirror power reflectivity.")
+@click.option("--alpha-db-mm", type=FiniteFloat(min=0), default=3.2, show_default=True)
 @click.option("--length", type=POSITIVE_SI, default=130e-6, show_default=True, help="Propagation length in m.")
 @click.option("--vg", type=POSITIVE_SI, default=6161.0, show_default=True)
 @click.option("--f-lo", type=POSITIVE_SI, default=2.8e9, show_default=True)
 @click.option("--f-hi", type=POSITIVE_SI, default=4.8e9, show_default=True)
 @click.option("--n-points", type=click.IntRange(16, MAX_POINTS), default=4001, show_default=True)
-@click.option("--crosstalk", type=float, default=0.0, show_default=True, help="Flat crosstalk amplitude.")
+@click.option("--crosstalk", type=FiniteFloat(), default=0.0, show_default=True, help="Flat crosstalk amplitude.")
 @click.option("--idt-center", type=POSITIVE_SI, default=None, help="Passband center in Hz.")
 @click.option("--idt-bw", type=float, default=None, help="Fractional passband width.")
-@click.option("--noise", type=float, default=0.0, show_default=True)
+@click.option("--noise", type=FiniteFloat(min=0), default=0.0, show_default=True)
 @click.option("--name", default="synthetic.s2p", show_default=True)
 @pass_state
 def synth(state, t_eff, r_eff, alpha_db_mm, length, vg, f_lo, f_hi, n_points,

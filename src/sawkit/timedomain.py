@@ -414,6 +414,10 @@ def synthesize_echo_network(
         raise ArgumentError("n_points must be at least 16")
     if v_g <= 0:
         raise ArgumentError("group velocity must be positive")
+    if not np.isfinite(crosstalk):
+        raise ArgumentError("crosstalk must be finite")
+    if not 0 <= noise_sigma < math.inf:
+        raise ArgumentError("noise_sigma must be nonnegative and finite")
     f = np.linspace(f_lo, f_hi, n_points)
     df = f[1] - f[0]
 

@@ -251,6 +251,7 @@ class TestIntegerFlags:
     """Integer minimums and the point limit are bad usage, caught before allocating."""
 
     ECHO = ["echo-loss", "--length", "130u", "--vg", "6161", "--known-r", "0.1"]
+    RABI = ["simulate", "rabi", "--rabi-mhz", "33.4"]
 
     @pytest.mark.parametrize(
         "command, flag, value, message",
@@ -262,6 +263,15 @@ class TestIntegerFlags:
             (ECHO, "--n-max", "-1", "x>=0"),
             # 4,001 input points times 10**9
             (ECHO, "--oversample", "1000000000", "exceeds the 4194304-point transform limit"),
+            (RABI, "--points", "0", "2<=x<=4194304"),
+            (RABI, "--points", "1", "2<=x<=4194304"),
+            (RABI, "--points", "1000000000000", "2<=x<=4194304"),
+            (["simulate", "odar"], "--points", "1", "2<=x<=4194304"),
+            (["simulate", "odar"], "--points", "1000000000000", "2<=x<=4194304"),
+            (["simulate", "sidebands"], "--points", "1", "2<=x<=4194304"),
+            (["simulate", "sidebands"], "--points", "1000000000000", "2<=x<=4194304"),
+            (["simulate", "sidebands"], "--orders", "-1", "0<=x<=10"),
+            (["simulate", "sidebands"], "--orders", "11", "0<=x<=10"),
         ],
     )
     def test_out_of_range_exits_2(self, runner, tmp_path, command, flag, value, message):
@@ -287,11 +297,26 @@ class TestSynthUsage:
             (["--idt-bw", "-0.2", "--idt-center", "3.8G"], "is not a positive finite"),
             (["--idt-bw", "inf", "--idt-center", "3.8G"], "is not a positive finite"),
             (["--idt-bw", "nan", "--idt-center", "3.8G"], "is not a positive finite"),
+            (["--t", "2"], "2.0 is not in the range 0<=x<=1"),
+            (["--t", "-0.1"], "is not in the range 0<=x<=1"),
+            (["--t", "nan"], "'nan' is not a finite number"),
+            (["--r", "1.5"], "1.5 is not in the range 0<=x<=1"),
+            (["--r", "nan"], "'nan' is not a finite number"),
+            (["--crosstalk", "inf"], "'inf' is not a finite number"),
+            (["--crosstalk", "-inf"], "'-inf' is not a finite number"),
+            (["--crosstalk", "nan"], "'nan' is not a finite number"),
+            # a negative scale used to write a noiseless file and exit 0
+            (["--noise", "-1"], "-1.0 is not in the range x>=0"),
+            (["--noise", "inf"], "'inf' is not a finite number"),
+            (["--noise", "nan"], "'nan' is not a finite number"),
+            (["--alpha-db-mm", "-1"], "-1.0 is not in the range x>=0"),
+            (["--alpha-db-mm", "inf"], "'inf' is not a finite number"),
+            (["--alpha-db-mm", "nan"], "'nan' is not a finite number"),
         ],
     )
     def test_exits_2(self, runner, tmp_path, flags, message):
         out = tmp_path / "out"
-        result = run(runner, ["--out-dir", str(out), "synth", *flags])
+        result = run(runner, ["--out-dir", str(out), "--seed", "1", "synth", *flags])
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not out.exists()
@@ -577,6 +602,36 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
         lines = (tmp_path / "sideband_spectrum.csv").read_text().strip().splitlines()
         assert lines[0] == "f_hz,intensity"
+
+    def test_sidebands_high_order_large_index(self, runner, tmp_path):
+        result = run(
+            runner,
+            [
+                "--out-dir", str(tmp_path), "simulate", "sidebands",
+                "--mod-index", "-20", "--orders", "10",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "sideband_spectrum.csv").read_text().strip().splitlines()[1:]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("25", "25.0 is not in the range -20<=x<=20"),
+            ("-20.5", "is not in the range -20<=x<=20"),
+            ("inf", "is not in the range -20<=x<=20"),
+            ("nan", "'nan' is not a finite number"),
+        ],
+    )
+    def test_sidebands_mod_index_out_of_range_exits_2(self, runner, tmp_path, value, message):
+        out = tmp_path / "out"
+        result = run(
+            runner, ["--out-dir", str(out), "simulate", "sidebands", "--mod-index", value]
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
 
     def test_rabi_noise_needs_seed(self, runner, tmp_path):
         result = run(

@@ -242,6 +242,37 @@ class TestBessel:
                 want = float(mp.besselj(order, x))
                 assert bessel_j(order, x) == pytest.approx(want, abs=1e-12)
 
+    def test_against_40_digit_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(40):
+            for order in range(11):
+                for x in np.linspace(-20.0, 20.0, 2001):
+                    want = mp.besselj(order, mp.mpf(float(x)))
+                    worst = max(worst, float(abs(mp.mpf(bessel_j(order, x)) - want)))
+        assert worst <= 1e-15
+
+    def test_exact_at_zero(self):
+        for order in range(11):
+            for x in (0.0, -0.0):
+                assert bessel_j(order, x) == (1.0 if order == 0 else 0.0)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-9, 1e-8, 3e-8, 0.25, 2.404825557695773, 7.5, 19.99, 20.0])
+    def test_reflection_bit_for_bit(self, x):
+        for order in range(11):
+            assert bessel_j(order, -x) == (-1) ** order * bessel_j(order, x)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-12, 9.99e-9, 1e-8, 1.01e-8, 1e-6])
+    def test_small_arguments_against_mpmath(self, x):
+        # below 1e-8 the leading series term; above it the recurrence, which
+        # rescales here; relative error, since J_10(1e-8) is about 3e-90
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for order in range(11):
+                want = mp.besselj(order, mp.mpf(x))
+                got = bessel_j(order, x)
+                assert abs(mp.mpf(got) - want) <= 2e-15 * abs(want) + 5e-324
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0])
     def test_recurrence(self, n, x):

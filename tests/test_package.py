@@ -1,6 +1,7 @@
 """The top-level package: one lazy export table and a cheap import."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -76,13 +77,62 @@ def test_cli_and_analysis_modules_load_no_scipy():
     src = str(Path(sawkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
-        "import sys, sawkit.cli, sawkit.specanalysis, sawkit.qdyn; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+        "import sys, numpy, sawkit.cli, sawkit.specanalysis, sawkit.qdyn; "
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy')); "
+        "print(loaded()); "
         "from sawkit.numerics import bessel_j; "
-        "import scipy.special; "
-        "print(bessel_j(1, 1.2) == float(scipy.special.jv(1, 1.2)))"
+        "bessel_j(1, 1.2); "
+        "print(loaded()); "
+        "sawkit.qdyn.sideband_spectrum(0.0, 1e9, 1.2, 1e8, 3, numpy.linspace(-4e9, 4e9, 101)); "
+        "print(loaded())"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    assert out.stdout.split("\n")[:3] == ["[]", "[]", "[]"]
+
+
+# The README session, one call per subcommand; inputs are relative to the out dir.
+README_SESSION = [
+    ["--seed", "7", "synth", "--t", "0.3", "--r", "0.1", "--alpha-db-mm", "3.2",
+     "--length", "130u", "--noise", "1e-5", "--name", "echo.s2p"],
+    ["synth", "--length", "58.565u", "--r", "0.6", "--alpha-db-mm", "2.0", "--name", "paper.s2p"],
+    ["--plot", "cavity", "--input", "paper.s2p", "--d", "50u", "--lambda0", "1.7u",
+     "--n-mirror", "40", "--vg", "6161", "--alpha-db-mm", "2.0"],
+    ["echo-loss", "--input", "echo.s2p", "--length", "130u", "--vg", "6161", "--known-r", "0.1"],
+    ["gate", "--input", "echo.s2p", "--start", "10n", "--stop", "200n"],
+    ["convert", "--input", "echo.s2p", "--output", "sweep.csv"],
+    ["budget", "--power-dbm", "0", "--loss", "-10", "--loss", "-10", "--g", "30k",
+     "--f0", "3.8G", "--t0", "20n"],
+    ["coupling", "--f-m", "3.83G", "--eps-xx", "2e-10"],
+    ["--seed", "7", "simulate", "rabi", "--rabi-mhz", "33.4", "--decay-tau-ns", "150",
+     "--t-max-ns", "600", "--points", "2401", "--noise", "0.02"],
+    ["simulate", "odar", "--rabi-mhz", "25", "--f-spin-ghz", "3.83", "--pulse-ns", "20"],
+    ["simulate", "sidebands", "--carrier", "3.83G", "--mod-freq", "1G", "--mod-index", "1.2"],
+]
+
+
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
+    """A None entry in sys.modules makes any import of scipy raise ImportError."""
+    src = str(Path(sawkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import json, os, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from click.testing import CliRunner\n"
+        "from sawkit.cli import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    result = CliRunner().invoke(main, ['--out-dir', os.getcwd(), *args])\n"
+        "    print(result.exit_code, repr(result.exception) if result.exit_code else '')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(README_SESSION)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    codes = out.stdout.splitlines()
+    assert len(codes) == len(README_SESSION), out.stderr
+    for args, line in zip(README_SESSION, codes):
+        assert line.rstrip() == "0", (args, line)
+    written = {p.name for p in tmp_path.iterdir()}
+    assert {"cavity_plot.svg", "loss_model.txt", "gated.s2p", "sweep.csv",
+            "rabi_trace.csv", "odar_spectrum.csv", "sideband_spectrum.csv"} <= written

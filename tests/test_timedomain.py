@@ -348,6 +348,16 @@ class TestSynthesizeEchoNetwork:
         with pytest.raises(ArgumentError):
             synthesize_echo_network(REF_MODEL, V_G, (4.3e9, 3.3e9), 64)
 
+    @pytest.mark.parametrize("crosstalk", [math.inf, -math.inf, math.nan, complex(0.1, math.nan)])
+    def test_crosstalk_must_be_finite(self, crosstalk):
+        with pytest.raises(ArgumentError, match="crosstalk must be finite"):
+            synthesize_echo_network(REF_MODEL, V_G, (3.3e9, 4.3e9), 64, crosstalk=crosstalk)
+
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-12, math.inf, math.nan])
+    def test_noise_must_be_nonnegative_and_finite(self, sigma):
+        with pytest.raises(ArgumentError, match="noise_sigma must be nonnegative and finite"):
+            synthesize_echo_network(REF_MODEL, V_G, (3.3e9, 4.3e9), 64, noise_sigma=sigma, seed=1)
+
 
 def reference_n_cut(model, v_g, df):
     """The echo series' last index N, by the rules synthesize_echo_network documents."""

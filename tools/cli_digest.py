@@ -75,6 +75,10 @@ EXTRA_CALLS = [
     # prominence values themselves decide the output
     ("cavity_prominence_cut", ["--config", "{fixtures}/device.cfg", "cavity",
                                "--input", "{fixtures}/paper.s2p", "--prominence", "0.5"]),
+    # orders up to 10 at a large modulation index: weights far from the
+    # carrier, where bessel_j's recurrence start order matters
+    ("simulate_sidebands_high_order", ["simulate", "sidebands", "--mod-index", "7.5",
+                                       "--orders", "10"]),
 ]
 
 
