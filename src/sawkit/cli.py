@@ -357,8 +357,8 @@ def gate(state, input_path, start, stop, output):
 
 
 @main.command()
-@click.option("--power-dbm", type=float, required=True, help="RF drive power in dBm.")
-@click.option("--loss", "losses", type=float, multiple=True, help="Loss chain entry in dB (repeatable).")
+@click.option("--power-dbm", type=FiniteFloat(), required=True, help="RF drive power in dBm.")
+@click.option("--loss", "losses", type=FiniteFloat(), multiple=True, help="Loss chain entry in dB (repeatable).")
 @click.option("--g", type=SI, required=True, help="Single-phonon coupling rate in Hz.")
 @click.option("--f0", type=SI, required=True, help="Mode frequency in Hz.")
 @click.option("--t0", type=SI, required=True, help="Phonon duration in s.")
@@ -431,11 +431,11 @@ def simulate():
 
 
 @simulate.command("rabi")
-@click.option("--rabi-mhz", type=float, required=True, help="Rabi frequency in MHz.")
-@click.option("--decay-tau-ns", type=float, default=None, help="Decay time in ns (default: none).")
-@click.option("--t-max-ns", type=float, default=200.0, show_default=True)
+@click.option("--rabi-mhz", type=FiniteFloat(), required=True, help="Rabi frequency in MHz.")
+@click.option("--decay-tau-ns", type=FiniteFloat(), default=None, help="Decay time in ns (default: none).")
+@click.option("--t-max-ns", type=FiniteFloat(), default=200.0, show_default=True)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=401, show_default=True)
-@click.option("--noise", type=float, default=0.0, show_default=True)
+@click.option("--noise", type=FiniteFloat(min=0), default=0.0, show_default=True)
 @pass_state
 def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
     """Decaying Rabi oscillation trace."""
@@ -457,10 +457,10 @@ def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
 
 
 @simulate.command("odar")
-@click.option("--rabi-mhz", type=float, default=25.0, show_default=True)
-@click.option("--f-spin-ghz", type=float, default=3.83, show_default=True)
-@click.option("--pulse-ns", type=float, default=20.0, show_default=True)
-@click.option("--span-mhz", type=float, default=200.0, show_default=True)
+@click.option("--rabi-mhz", type=FiniteFloat(), default=25.0, show_default=True)
+@click.option("--f-spin-ghz", type=FiniteFloat(), default=3.83, show_default=True)
+@click.option("--pulse-ns", type=FiniteFloat(), default=20.0, show_default=True)
+@click.option("--span-mhz", type=FiniteFloat(), default=200.0, show_default=True)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=801, show_default=True)
 @pass_state
 def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):

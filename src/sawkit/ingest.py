@@ -12,7 +12,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,9 +35,6 @@ PortPair = Tuple[int, int]
 PORT_PAIRS: Tuple[PortPair, ...] = ((1, 1), (2, 1), (1, 2), (2, 2))
 
 _FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
-
-# rows formatted per call in _write_rows
-_WRITE_BLOCK = 4096
 
 
 def pair_name(pair: PortPair) -> str:
@@ -235,16 +232,24 @@ def _complex_values(grid: np.ndarray, forms) -> np.ndarray:
     return values
 
 
-def _write_rows(freqs: np.ndarray, columns, form: str, sep: str) -> str:
+def _write_rows(freqs: np.ndarray, columns, form: str, sep: str) -> List[bytes]:
     """Writer side of both formats: frequencies and S-value columns as text rows.
 
-    form is 'RI', 'MA' or 'DB' as for _read_rows. Cells are joined by sep,
-    every row ends in a newline, and every number carries 17 significant
-    digits. The magnitude is np.hypot, which calls libm's hypot as abs()
-    of a complex does; np.abs has a SIMD kernel that can differ in the
-    last bit. log10 and atan2 use math for the reason given in
+    form is 'RI', 'MA' or 'DB' as for _read_rows. The rows come from
+    textformat.format_rows: cells joined by sep, rows ending in a newline,
+    every number "%.17g". numpy rounds a cell's 17 digits itself where its
+    longdouble product is farther from a rounding tie than the error
+    bound 1e17 * finfo(longdouble).eps; undecided and non-finite cells,
+    and all cells where longdouble is binary64, fall back to "%.17g" % x.
+    The magnitude is np.hypot, which calls libm's hypot as abs() of a
+    complex does; np.abs has a SIMD kernel that can differ in the last
+    bit. log10 and atan2 use math for the reason given in
     _complex_values.
     """
+    # imported here, so a call that writes nothing neither loads the
+    # formatter nor builds its tables
+    from .textformat import format_rows
+
     cells = [freqs]
     for v in columns:
         if form == "RI":
@@ -256,11 +261,7 @@ def _write_rows(freqs: np.ndarray, columns, form: str, sep: str) -> str:
                 mag = [20.0 * math.log10(a) if a > 0 else -400.0 for a in mag]
             deg = map(math.degrees, map(math.atan2, v.imag.tolist(), v.real.tolist()))
             cells += (mag, list(deg))
-    grid = np.column_stack(cells)
-    row = sep.join(["%.17g"] * grid.shape[1]) + "\n"
-    # blocks of rows keep few float objects alive at once
-    blocks = np.split(grid, range(_WRITE_BLOCK, grid.shape[0], _WRITE_BLOCK))
-    return "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+    return format_rows(np.column_stack(cells), sep)
 
 
 def parse_touchstone(data) -> NetworkSweep:
@@ -335,7 +336,7 @@ def write_touchstone(sweep: NetworkSweep, unit: str = "GHZ", representation: str
     zeros = np.zeros(sweep.freqs.size, dtype=complex)
     columns = [sweep.s.get(pair, zeros) for pair in PORT_PAIRS]
     rows = _write_rows(sweep.freqs / _FREQ_UNITS[unit], columns, representation, " ")
-    return (head + rows).encode()
+    return b"".join([head.encode(), *rows])
 
 
 _CSV_SUFFIXES = ("re", "im", "db", "deg")
@@ -460,4 +461,4 @@ def write_csv(sweep: NetworkSweep, which: Iterable[PortPair], representation: st
     for pair in pairs:
         header += [f"{pair_name(pair)}_{suffix}" for suffix in suffixes]
     rows = _write_rows(sweep.freqs, [sweep.s[pair] for pair in pairs], form, ",")
-    return (",".join(header) + "\n" + rows).encode()
+    return b"".join([(",".join(header) + "\n").encode(), *rows])

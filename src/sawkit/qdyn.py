@@ -108,6 +108,8 @@ def simulate_rabi_trace(
     Gaussian noise of scale noise_sigma requires an explicit seed and is
     deterministic for a fixed one.
     """
+    if not 0 <= noise_sigma < math.inf:
+        raise ArgumentError("noise_sigma must be nonnegative and finite")
     drive = TwoLevelDrive(rabi=rabi, decay_tau=decay_tau)
     t = np.asarray(t_grid, dtype=float)
     y = rabi_population(drive, t)
@@ -246,10 +248,11 @@ def sideband_spectrum(
 
 
 def series_csv(series: Series, x_name: str = "x", y_name: str = "y") -> bytes:
-    """Two-column CSV of a real series."""
-    lines = [f"{x_name},{y_name}"]
-    for xv, yv in zip(series.x, series.y):
-        if np.iscomplexobj(series.y):
-            yv = abs(yv)
-        lines.append(f"{xv:.17g},{float(yv):.17g}")
-    return ("\n".join(lines) + "\n").encode()
+    """Two-column CSV of a series, a complex one by its magnitude, as "%.17g"."""
+    from .textformat import format_rows  # loaded by the first write, as in ingest
+
+    y = series.y
+    if np.iscomplexobj(y):
+        y = np.hypot(y.real, y.imag)
+    rows = format_rows(np.column_stack((series.x, y)), ",")
+    return b"".join([f"{x_name},{y_name}\n".encode(), *rows])

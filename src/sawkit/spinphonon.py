@@ -241,9 +241,15 @@ def phonon_budget(
     p_rf_dbm: float, loss_chain_db: Sequence[float], f0: float, t0: float
 ) -> PhononBudget:
     """Assemble the budget record for a drive power and loss chain."""
-    p_rf = 1e-3 * 10.0 ** (p_rf_dbm / 10.0)
+    if not math.isfinite(p_rf_dbm):
+        raise ArgumentError(f"drive power {p_rf_dbm!r} dBm is not finite")
     p0 = single_phonon_power(f0, t0)
-    n = phonon_number(p_rf, loss_chain_db, p0)
+    try:
+        n = phonon_number(1e-3 * 10.0 ** (p_rf_dbm / 10.0), loss_chain_db, p0)
+    except OverflowError:
+        n = math.inf
+    if not math.isfinite(n):
+        raise ArgumentError(f"drive power {p_rf_dbm!r} dBm overflows the phonon number")
     return PhononBudget(
         omega0=2.0 * math.pi * f0,
         t0=t0,

@@ -548,6 +548,27 @@ class TestBudgetAndCoupling:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # nan used to print p_acoustic=nan, n=nan and rabi=nan with exit 0
+            (["--power-dbm", "nan"], "'nan' is not a finite number"),
+            (["--power-dbm", "inf"], "'inf' is not a finite number"),
+            (["--power-dbm", "0", "--loss", "nan"], "'nan' is not a finite number"),
+            (["--power-dbm", "0", "--loss", "-inf"], "'-inf' is not a finite number"),
+            # finite in dBm, but past the largest power in watts or phonon number
+            (["--power-dbm", "1e300"], "overflows the phonon number"),
+            (["--power-dbm", "3060"], "overflows the phonon number"),
+        ],
+    )
+    def test_budget_non_finite_power_exits_2(self, runner, tmp_path, flags, message):
+        result = run(
+            runner,
+            ["--out-dir", str(tmp_path), "budget", *flags, "--g", "30k", "--f0", "3.8G", "--t0", "20n"],
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
     def test_coupling_fields(self, runner, tmp_path):
         result = run(
             runner,
@@ -656,3 +677,25 @@ class TestSimulate:
             )
             assert result.exit_code == 0
         assert (a / "rabi_trace.csv").read_bytes() == (b / "rabi_trace.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            # each used to exit 0 and write inf/nan rows, or a noiseless trace for -1
+            ("rabi", ["--rabi-mhz", "nan"], "'nan' is not a finite number"),
+            ("rabi", ["--rabi-mhz", "33", "--decay-tau-ns", "nan"], "'nan' is not a finite number"),
+            ("rabi", ["--rabi-mhz", "33", "--t-max-ns", "inf"], "'inf' is not a finite number"),
+            ("rabi", ["--rabi-mhz", "33", "--noise", "inf"], "'inf' is not a finite number"),
+            ("rabi", ["--rabi-mhz", "33", "--noise", "-1"], "-1.0 is not in the range x>=0"),
+            ("odar", ["--rabi-mhz", "inf"], "'inf' is not a finite number"),
+            ("odar", ["--f-spin-ghz", "nan"], "'nan' is not a finite number"),
+            ("odar", ["--pulse-ns", "nan"], "'nan' is not a finite number"),
+            ("odar", ["--span-mhz", "-inf"], "'-inf' is not a finite number"),
+        ],
+    )
+    def test_non_finite_float_flags_exit_2(self, runner, tmp_path, command, flags, message):
+        out = tmp_path / "out"
+        result = run(runner, ["--out-dir", str(out), "--seed", "1", "simulate", command, *flags])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()

@@ -114,6 +114,13 @@ class TestSimulateRabiTrace:
         with pytest.raises(ArgumentError):
             simulate_rabi_trace(33.4e6, 150e-9, np.array([]))
 
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-12, math.inf, math.nan])
+    def test_noise_must_be_nonnegative_and_finite(self, sigma):
+        # a negative scale used to give a silently noiseless trace
+        t = np.linspace(0.0, 200e-9, 401)
+        with pytest.raises(ArgumentError, match="noise_sigma must be nonnegative and finite"):
+            simulate_rabi_trace(33.4e6, 150e-9, t, noise_sigma=sigma, seed=1)
+
 
 class TestFitRabi:
     def test_noiseless_recovery(self):

@@ -258,6 +258,11 @@ class TestPhononBudget:
         assert budget.n == pytest.approx(79431062135.09799, rel=1e-9)
         assert budget.omega0 == pytest.approx(2.0 * math.pi * 3.8e9, rel=1e-12)
 
+    @pytest.mark.parametrize("dbm", [math.nan, math.inf, -math.inf, 1e300, 3060.0])
+    def test_budget_rejects_non_finite_power(self, dbm):
+        with pytest.raises(ArgumentError, match="drive power"):
+            phonon_budget(dbm, [-10.0], 3.8e9, 20e-9)
+
     def test_budget_invariant_enforced(self):
         with pytest.raises(ArgumentError):
             PhononBudget(

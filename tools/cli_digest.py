@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import shutil
 import subprocess
 import sys
@@ -66,6 +67,11 @@ EXTRA_CALLS = [
                            "--output", "echo.s2p"]),
     ("convert_underscored", ["convert", "--input", "{fixtures}/echo_underscored.s2p",
                              "--output", "echo.csv", "--representation", "db_phase"]),
+    # the writers' hard cases, rewritten in each layout
+    ("convert_edge_s2p", ["convert", "--input", "{fixtures}/edge.s2p", "--output", "edge.s2p"]),
+    ("convert_edge_ri", ["convert", "--input", "{fixtures}/edge.s2p", "--output", "edge.csv"]),
+    ("convert_edge_db_phase", ["convert", "--input", "{fixtures}/edge.s2p", "--output", "edge.csv",
+                               "--representation", "db_phase"]),
     # prominence 0 keeps every noise maximum, so the spacing thinning
     # decides which candidates are modes
     ("cavity_peak_overrides", ["--config", "{fixtures}/device.cfg", "cavity",
@@ -107,6 +113,26 @@ def commented(touchstone: bytes, underscore: bool) -> bytes:
     return ("\n".join(out) + "\n").encode()
 
 
+def edge_touchstone() -> bytes:
+    """An RI Touchstone text whose S columns hold the number writers' hard cases.
+
+    Both zeros, the smallest subnormal and normal doubles, the largest
+    double, every power of ten in range with its neighbour towards zero,
+    both sides of the switch to exponent notation at 1e-5 and 1e17,
+    integers with trailing zeros, and the negatives of all of them.
+    """
+    values = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              1e-5, 9.9999999999999995e-05, 1e16, 1e17, 99999999999999999.0,
+              2800000000.0, 120.0, 1000.0, 1.2e15]
+    for p in range(-323, 309):
+        values += [10.0 ** p, math.nextafter(10.0 ** p, 0.0)]
+    values += [-v for v in values]
+    values += [0.0] * (-len(values) % 8)
+    rows = [f"{i + 1} " + " ".join(map(repr, values[8 * i:8 * i + 8]))
+            for i in range(len(values) // 8)]
+    return ("# HZ S RI R 50\n" + "\n".join(rows) + "\n").encode()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="Fixture and noise seed.")
@@ -123,6 +149,7 @@ def main(argv=None) -> int:
         echo = (fixtures / "echo.s2p").read_bytes()
         for name, underscore in (("echo_commented.s2p", False), ("echo_underscored.s2p", True)):
             (fixtures / name).write_bytes(commented(echo, underscore))
+        (fixtures / "edge.s2p").write_bytes(edge_touchstone())
         if args.fixtures is not None:
             if not (args.fixtures.is_dir() and any(args.fixtures.iterdir())):
                 shutil.copytree(fixtures, args.fixtures, dirs_exist_ok=True)
