@@ -225,9 +225,9 @@ def _load_sweep(state: AppState, input_flag) -> ingest.NetworkSweep:
 @click.option("--input", "input_path", type=click.Path(), default=None)
 @click.option("--d", type=POSITIVE_SI, default=None, help="IDT separation in m.")
 @click.option("--lambda0", type=POSITIVE_SI, default=None, help="Acoustic wavelength in m.")
-@click.option("--n-mirror", type=int, default=None, help="Electrodes per mirror.")
+@click.option("--n-mirror", type=click.IntRange(min=1), default=None, help="Electrodes per mirror.")
 @click.option("--vg", type=POSITIVE_SI, default=None, help="Group velocity in m/s.")
-@click.option("--alpha-db-mm", type=float, default=None, help="Propagation loss in dB/mm.")
+@click.option("--alpha-db-mm", type=FiniteFloat(min=0, min_open=True), default=None, help="Propagation loss in dB/mm.")
 @click.option("--prominence", type=float, default=None, help="Peak prominence override.")
 @click.option("--spacing", type=POSITIVE_SI, default=None, help="Minimum peak spacing in Hz.")
 @click.option(
@@ -278,8 +278,8 @@ def cavity(state, input_path, d, lambda0, n_mirror, vg, alpha_db_mm, prominence,
 @click.option("--input", "input_path", type=click.Path(), default=None)
 @click.option("--length", type=POSITIVE_SI, default=None, help="Propagation length L in m.")
 @click.option("--vg", type=POSITIVE_SI, default=None, help="Group velocity in m/s.")
-@click.option("--known-r", type=float, default=None, help="Known mirror power reflectivity.")
-@click.option("--known-alpha", type=float, default=None, help="Known attenuation in dB/mm.")
+@click.option("--known-r", type=FiniteFloat(0, 1, min_open=True), default=None, help="Known mirror power reflectivity.")
+@click.option("--known-alpha", type=FiniteFloat(min=0), default=None, help="Known attenuation in dB/mm.")
 @click.option("--n-max", type=click.IntRange(min=0), default=4, show_default=True, help="Highest echo index.")
 @click.option(
     "--window",
@@ -287,7 +287,7 @@ def cavity(state, input_path, d, lambda0, n_mirror, vg, alpha_db_mm, prominence,
     default="raised_cosine",
     show_default=True,
 )
-@click.option("--edge-fraction", type=float, default=0.5, show_default=True)
+@click.option("--edge-fraction", type=FiniteFloat(0, 0.5), default=0.5, show_default=True)
 @click.option("--oversample", type=click.IntRange(min=1), default=16, show_default=True)
 @pass_state
 def echo_loss(state, input_path, length, vg, known_r, known_alpha, n_max, window, edge_fraction, oversample):
@@ -431,9 +431,9 @@ def simulate():
 
 
 @simulate.command("rabi")
-@click.option("--rabi-mhz", type=FiniteFloat(), required=True, help="Rabi frequency in MHz.")
-@click.option("--decay-tau-ns", type=FiniteFloat(), default=None, help="Decay time in ns (default: none).")
-@click.option("--t-max-ns", type=FiniteFloat(), default=200.0, show_default=True)
+@click.option("--rabi-mhz", type=FiniteFloat(min=0), required=True, help="Rabi frequency in MHz.")
+@click.option("--decay-tau-ns", type=FiniteFloat(min=0, min_open=True), default=None, help="Decay time in ns (default: none).")
+@click.option("--t-max-ns", type=FiniteFloat(min=0, min_open=True), default=200.0, show_default=True)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=401, show_default=True)
 @click.option("--noise", type=FiniteFloat(min=0), default=0.0, show_default=True)
 @pass_state
@@ -457,9 +457,9 @@ def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
 
 
 @simulate.command("odar")
-@click.option("--rabi-mhz", type=FiniteFloat(), default=25.0, show_default=True)
+@click.option("--rabi-mhz", type=FiniteFloat(min=0), default=25.0, show_default=True)
 @click.option("--f-spin-ghz", type=FiniteFloat(), default=3.83, show_default=True)
-@click.option("--pulse-ns", type=FiniteFloat(), default=20.0, show_default=True)
+@click.option("--pulse-ns", type=FiniteFloat(min=0, min_open=True), default=20.0, show_default=True)
 @click.option("--span-mhz", type=FiniteFloat(), default=200.0, show_default=True)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=801, show_default=True)
 @pass_state
@@ -481,9 +481,9 @@ def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
 
 @simulate.command("sidebands")
 @click.option("--carrier", type=SI, default=0.0, show_default=True, help="Carrier frequency in Hz.")
-@click.option("--mod-freq", type=SI, default=3.83e9, show_default=True, help="Modulation frequency in Hz.")
+@click.option("--mod-freq", type=POSITIVE_SI, default=3.83e9, show_default=True, help="Modulation frequency in Hz.")
 @click.option("--mod-index", type=FiniteFloat(-20, 20), default=0.5, show_default=True)
-@click.option("--linewidth", type=SI, default=1e9, show_default=True, help="Lorentzian FWHM in Hz.")
+@click.option("--linewidth", type=POSITIVE_SI, default=1e9, show_default=True, help="Lorentzian FWHM in Hz.")
 @click.option("--orders", type=click.IntRange(0, 10), default=3, show_default=True)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=2001, show_default=True)
 @pass_state

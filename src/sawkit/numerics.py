@@ -70,15 +70,21 @@ class FitResult:
 
 
 def grid_step(x, rel_tol: float = 1e-6) -> float:
-    """Spacing of a uniform grid; raises GridError if spacing varies."""
+    """Spacing of a uniform grid; raises GridError if it varies or a point is not finite."""
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         raise ArgumentError("grid needs at least two points")
-    steps = np.diff(x)
-    mean = steps.mean()
+    # any NaN or infinite point makes a step, and so the mean, non-finite
+    with np.errstate(invalid="ignore", over="ignore"):
+        steps = np.diff(x)
+        mean = steps.mean()
+    if not math.isfinite(mean):
+        raise GridError("grid is not finite")
     if mean <= 0:
         raise GridError("grid is not increasing")
-    if np.max(np.abs(steps - mean)) > rel_tol * abs(mean):
+    steps -= mean
+    np.abs(steps, out=steps)
+    if steps.max() > rel_tol * abs(mean):
         raise GridError("grid spacing is not uniform; resample first")
     return float(mean)
 
@@ -248,22 +254,26 @@ def least_squares(
 # Transforms and special functions
 
 
-def dft(values, direction: str = "forward") -> np.ndarray:
+def dft(values, direction: str = "forward", n: Optional[int] = None) -> np.ndarray:
     """Unitary discrete Fourier transform of a 1-D vector.
 
     With the orthonormal scaling, inverse(forward(x)) == x and Parseval
-    holds symmetrically.
+    holds symmetrically. A transform length n above the input length
+    zero-pads the input to n points, inside the transform's own buffer.
     """
-    v = np.asarray(values)
+    v = np.asarray(values, dtype=complex)
     if v.ndim != 1:
         raise ArgumentError("dft expects a one-dimensional vector")
     if v.size < 2:
         raise ArgumentError("dft needs at least two samples")
-    v = v.astype(complex)
+    if n is None:
+        n = v.size
+    elif n < v.size:
+        raise ArgumentError(f"transform length {n} is below the input length {v.size}")
     if direction == "forward":
-        return np.fft.fft(v, norm="ortho")
+        return np.fft.fft(v, n=n, norm="ortho")
     if direction == "inverse":
-        return np.fft.ifft(v, norm="ortho")
+        return np.fft.ifft(v, n=n, norm="ortho")
     raise ArgumentError(f"unknown dft direction {direction!r}")
 
 

@@ -170,12 +170,11 @@ def impulse_response(
         raise ArgumentError("oversample must be a positive integer")
     n = s.size
     w = _window_array(n, window, edge_fraction)
-    padded = np.zeros(n * oversample, dtype=complex)
-    padded[:n] = s * w
-    h = dft(padded, "inverse")
-    m = padded.size
+    m = n * oversample
+    h = dft(s * w, "inverse", n=m)
     dtau = 1.0 / (m * df)
-    tau = np.arange(m) * dtau
+    tau = np.arange(m, dtype=float)
+    tau *= dtau
     gain = float(w.sum()) / math.sqrt(m)
     return ImpulseResponse(tau=tau, h=h, window_gain=gain)
 
@@ -248,34 +247,42 @@ def detect_echoes(
         )
     rt = expected_round_trip
     mag = np.abs(ir.h)
-    floor_region = mag[ir.tau >= rt / 4.0]
-    noise_floor = 3.0 * float(np.median(floor_region)) if floor_region.size else 0.0
 
-    peaks = []
+    found = []
     for n in range(n_max + 1):
         lo = max(n * rt, rt / 4.0)
         hi = (n + 1) * rt
-        mask = (ir.tau >= lo) & (ir.tau < hi)
-        if not np.any(mask):
+        # tau is finite and ascending (ImpulseResponse checks its grid),
+        # so tau[a:b] holds exactly the samples with lo <= tau < hi
+        a, b = np.searchsorted(ir.tau, (lo, hi)).tolist()
+        if a >= b:
             raise ResolutionError(
                 f"no samples in echo window {n} ([{lo:.3g}, {hi:.3g}) s); "
                 "increase the band span or oversampling"
             )
-        offset = int(np.argmax(np.where(mask, mag, -1.0)))
+        offset = a + int(np.argmax(mag[a:b]))
         if refine:
             tau_n, h_n = _refine_peak(mag, offset, dtau, 0.0)
             tau_n = min(max(tau_n, lo), hi - dtau)
         else:
             tau_n, h_n = float(ir.tau[offset]), float(mag[offset])
-        h_phys = h_n / ir.window_gain
-        peaks.append(
-            EchoPeak(
-                n=n,
-                tau=tau_n,
-                h_max=h_phys,
-                below_noise_floor=h_n < noise_floor,
-            )
+        found.append((tau_n, h_n))
+
+    # the median partitions the analysis region of mag in place, so it
+    # runs only once every peak has been read
+    floor_region = mag[int(np.searchsorted(ir.tau, rt / 4.0)):]
+    noise_floor = (
+        3.0 * float(np.median(floor_region, overwrite_input=True)) if floor_region.size else 0.0
+    )
+    peaks = [
+        EchoPeak(
+            n=n,
+            tau=tau_n,
+            h_max=h_n / ir.window_gain,
+            below_noise_floor=h_n < noise_floor,
         )
+        for n, (tau_n, h_n) in enumerate(found)
+    ]
     if len(peaks) >= 2:
         round_trip = float(np.median(np.diff([p.tau for p in peaks])))
     else:

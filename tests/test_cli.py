@@ -285,6 +285,48 @@ class TestIntegerFlags:
         assert not out.exists()
 
 
+class TestAnalysisFlagRanges:
+    """Out-of-range analysis and simulate flags are bad usage; each used to exit 3."""
+
+    CAVITY = ["cavity", "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"]
+    ECHO = ["echo-loss", "--length", "130u", "--vg", "6161"]
+    ECHO_R = [*ECHO, "--known-r", "0.1"]
+    RABI = ["simulate", "rabi", "--rabi-mhz", "33.4"]
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            (ECHO, "--known-r", "nan", "'nan' is not a finite number"),
+            (ECHO, "--known-r", "0", "0.0 is not in the range 0<x<=1"),
+            (ECHO, "--known-r", "1.5", "1.5 is not in the range 0<x<=1"),
+            (ECHO, "--known-alpha", "-1", "-1.0 is not in the range x>=0"),
+            (ECHO, "--known-alpha", "nan", "'nan' is not a finite number"),
+            (ECHO_R, "--edge-fraction", "0.9", "0.9 is not in the range 0<=x<=0.5"),
+            (ECHO_R, "--edge-fraction", "nan", "'nan' is not a finite number"),
+            (CAVITY, "--n-mirror", "-4", "-4 is not in the range x>=1"),
+            (CAVITY, "--alpha-db-mm", "nan", "'nan' is not a finite number"),
+            (CAVITY, "--alpha-db-mm", "0", "0.0 is not in the range x>0"),
+            (["simulate", "rabi"], "--rabi-mhz", "-1", "-1.0 is not in the range x>=0"),
+            (RABI, "--decay-tau-ns", "0", "0.0 is not in the range x>0"),
+            (RABI, "--t-max-ns", "-5", "-5.0 is not in the range x>0"),
+            (RABI, "--t-max-ns", "0", "0.0 is not in the range x>0"),
+            (["simulate", "odar"], "--pulse-ns", "0", "0.0 is not in the range x>0"),
+            (["simulate", "odar"], "--rabi-mhz", "-1", "-1.0 is not in the range x>=0"),
+            (["simulate", "sidebands"], "--mod-freq", "-1G", "is not a positive finite number"),
+            (["simulate", "sidebands"], "--linewidth", "0", "is not a positive finite number"),
+        ],
+    )
+    def test_exits_2(self, runner, tmp_path, command, flag, value, message):
+        out = tmp_path / "out"
+        args = list(command)
+        if command[0] in ("cavity", "echo-loss"):
+            args += ["--input", str(synth_fixture(runner, tmp_path / "in"))]
+        result = run(runner, ["--out-dir", str(out), *args, flag, value])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+
 class TestSynthUsage:
     """Flag combinations synthesis cannot honour are bad usage, not analysis failures."""
 

@@ -59,8 +59,33 @@ class TestGridStep:
         with pytest.raises(GridError):
             grid_step(np.array([2.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, bad):
+        # a NaN point used to give a NaN step that passed every comparison
+        with pytest.raises(GridError, match="not finite"):
+            grid_step(np.array([0.0, 1.0, bad, 3.0]))
+
 
 class TestDft:
+    @given(
+        st.integers(min_value=2, max_value=600),
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from(["forward", "inverse"]),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_length_zero_pads_bit_for_bit(self, size, factor, direction, real):
+        rng = np.random.default_rng(size * 17 + factor)
+        x = rng.normal(size=size) if real else rng.normal(size=size) + 1j * rng.normal(size=size)
+        m = size * factor + int(rng.integers(0, 3))
+        padded = np.zeros(m, dtype=complex)
+        padded[:size] = x
+        assert dft(x, direction, n=m).tobytes() == dft(padded, direction).tobytes()
+
+    def test_length_below_input_rejected(self):
+        with pytest.raises(ArgumentError, match="below the input length"):
+            dft(np.ones(8), "inverse", n=7)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 257, 1000, 4096])
     def test_round_trip(self, n):
         rng = np.random.default_rng(n)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sawkit.errors import (
     ArgumentError,
@@ -15,10 +16,14 @@ from sawkit.errors import (
     ResolutionError,
 )
 from sawkit.ingest import NetworkSweep
+from sawkit.numerics import dft, grid_step
 from sawkit.timedomain import (
     EchoPeak,
     EchoTrain,
+    ImpulseResponse,
     LossModel,
+    _refine_peak,
+    _window_array,
     detect_echoes,
     echo_train_csv,
     fit_echo_decay,
@@ -102,6 +107,11 @@ class TestImpulseResponse:
         d1 = ir1.tau[1] - ir1.tau[0]
         d4 = ir4.tau[1] - ir4.tau[0]
         assert d4 == pytest.approx(d1 / 4, rel=1e-12)
+
+    def test_non_finite_tau_rejected(self):
+        # echo windows are found by binary search, which needs a finite grid
+        with pytest.raises(GridError, match="not finite"):
+            ImpulseResponse(tau=[0.0, 1e-9, math.nan, 3e-9], h=np.ones(4, complex))
 
 
 class TestTimeGate:
@@ -212,6 +222,184 @@ class TestDetectEchoes:
         train = detect_echoes(ir, 2 * REF_MODEL.length / V_G, 3)
         for a, b in zip(train.peaks, train.peaks[1:]):
             assert b.h_max / a.h_max == pytest.approx(ratio_true, rel=1e-3)
+
+
+def reference_impulse_response(sweep, window="raised_cosine", edge_fraction=0.1, oversample=1):
+    """impulse_response with an explicitly zero-padded spectrum and an integer tau ramp."""
+    df = grid_step(sweep.freqs)
+    s = sweep.pair((2, 1))
+    n = s.size
+    w = _window_array(n, window, edge_fraction)
+    padded = np.zeros(n * oversample, dtype=complex)
+    padded[:n] = s * w
+    h = dft(padded, "inverse")
+    m = padded.size
+    tau = np.arange(m) * (1.0 / (m * df))
+    return ImpulseResponse(tau=tau, h=h, window_gain=float(w.sum()) / math.sqrt(m))
+
+
+def reference_detect_echoes(ir, expected_round_trip, n_max, refine=True):
+    """detect_echoes with a boolean mask per window and per noise region."""
+    if n_max < 0:
+        raise ArgumentError("n_max must be nonnegative")
+    dtau = ir.step
+    if expected_round_trip < 2.0 * dtau:
+        raise ArgumentError(
+            f"round trip {expected_round_trip:.3g} s needs a time step of at most "
+            f"half its length; have {dtau:.3g} s"
+        )
+    rt = expected_round_trip
+    mag = np.abs(ir.h)
+    floor_region = mag[ir.tau >= rt / 4.0]
+    noise_floor = 3.0 * float(np.median(floor_region)) if floor_region.size else 0.0
+    peaks = []
+    for n in range(n_max + 1):
+        lo = max(n * rt, rt / 4.0)
+        hi = (n + 1) * rt
+        mask = (ir.tau >= lo) & (ir.tau < hi)
+        if not np.any(mask):
+            raise ResolutionError(
+                f"no samples in echo window {n} ([{lo:.3g}, {hi:.3g}) s); "
+                "increase the band span or oversampling"
+            )
+        offset = int(np.argmax(np.where(mask, mag, -1.0)))
+        if refine:
+            tau_n, h_n = _refine_peak(mag, offset, dtau, 0.0)
+            tau_n = min(max(tau_n, lo), hi - dtau)
+        else:
+            tau_n, h_n = float(ir.tau[offset]), float(mag[offset])
+        peaks.append(EchoPeak(n=n, tau=tau_n, h_max=h_n / ir.window_gain,
+                              below_noise_floor=h_n < noise_floor))
+    if len(peaks) >= 2:
+        round_trip = float(np.median(np.diff([p.tau for p in peaks])))
+    else:
+        round_trip = rt
+    return EchoTrain(peaks=peaks, round_trip=round_trip)
+
+
+def train_bits(train):
+    """Every field of an echo train, floats as their exact hex."""
+    peaks = [(p.n, float(p.tau).hex(), float(p.h_max).hex(), p.below_noise_floor)
+             for p in train.peaks]
+    return peaks, float(train.round_trip).hex()
+
+
+def outcome(fn, *args, **kw):
+    """A call's result, or the type and text of the toolkit error it raised."""
+    try:
+        return fn(*args, **kw)
+    except (ArgumentError, ResolutionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTimeDomainOracle:
+    """impulse_response and detect_echoes against the full-length versions they replaced."""
+
+    @given(
+        n_points=st.integers(min_value=16, max_value=700),
+        oversample=st.integers(min_value=1, max_value=16),
+        window=st.sampled_from(["raised_cosine", "none"]),
+        edge_fraction=st.floats(min_value=0.0, max_value=0.5),
+        r=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+        length=st.floats(min_value=5e-6, max_value=400e-6),
+        noise=st.sampled_from([0.0, 1e-3]),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bit_identical(self, n_points, oversample, window, edge_fraction, r, length,
+                           noise, data):
+        model = LossModel(t=0.3, r=r, alpha=alpha_per_m(3.2), length=length)
+        sweep = synthesize_echo_network(model, V_G, (2.8e9, 8.8e9), n_points,
+                                        noise_sigma=noise, seed=3)
+        ir = impulse_response(sweep, window=window, edge_fraction=edge_fraction,
+                              oversample=oversample)
+        ref = reference_impulse_response(sweep, window=window, edge_fraction=edge_fraction,
+                                         oversample=oversample)
+        assert ir.tau.tobytes() == ref.tau.tobytes()
+        assert ir.h.tobytes() == ref.h.tobytes()
+        assert ir.window_gain == ref.window_gain
+
+        # round trips from the smallest allowed (window 0 starts next to
+        # tau = 0) to one grid period; whole multiples of the step put
+        # window edges on samples
+        dtau = ir.step
+        period = ir.tau.size * dtau
+        if data.draw(st.booleans(), label="on_grid"):
+            steps = data.draw(st.integers(min_value=2, max_value=max(2, ir.tau.size // 2)))
+            rt = steps * dtau
+        else:
+            rt = max(2.0 * dtau, period / data.draw(st.floats(min_value=1.0, max_value=60.0)))
+        # past the last window that holds a sample, so exhaustion is reached
+        n_max = data.draw(st.integers(min_value=0, max_value=int(period / rt) + 2), label="n_max")
+        refine = data.draw(st.booleans(), label="refine")
+        got = outcome(detect_echoes, ir, rt, n_max, refine=refine)
+        want = outcome(reference_detect_echoes, ref, rt, n_max, refine=refine)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert train_bits(got) == train_bits(want)
+
+    @pytest.mark.parametrize("rt_steps", [1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_round_trip_near_two_steps(self, rt_steps, refine):
+        ir = synth_ir(n=257)
+        rt = rt_steps * ir.step
+        n_max = 200
+        got = outcome(detect_echoes, ir, rt, n_max, refine=refine)
+        want = outcome(reference_detect_echoes, ir, rt, n_max, refine=refine)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert train_bits(got) == train_bits(want)
+
+    def test_windows_to_grid_end(self):
+        # the last window runs past tau[-1] and is cut short; the next is empty
+        ir = impulse_response(synthesize_echo_network(REF_MODEL, V_G, (2.8e9, 8.8e9), 4001),
+                              edge_fraction=0.5)
+        rt = 2 * REF_MODEL.length / V_G
+        last = int(ir.tau[-1] // rt)
+        for refine in (True, False):
+            train = detect_echoes(ir, rt, last, refine=refine)
+            assert train_bits(train) == train_bits(
+                reference_detect_echoes(ir, rt, last, refine=refine))
+        with pytest.raises(ResolutionError, match=f"no samples in echo window {last + 1} "):
+            detect_echoes(ir, rt, last + 1)
+
+
+class TestTimeDomainMemory:
+    """tracemalloc peaks at 64,001 points and oversample 16 (1,024,016 bins).
+
+    tracemalloc sees numpy's array buffers but not pocketfft's own
+    scratch, so these bound the temporaries sawkit allocates, not the
+    process's peak.
+    """
+
+    N = 64001
+
+    def test_impulse_response(self):
+        sweep = synthesize_echo_network(REF_MODEL, V_G, BAND, self.N)
+        tracemalloc.start()
+        try:
+            ir = impulse_response(sweep, edge_fraction=0.5, oversample=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # h (16.4 MB) and tau (8.2 MB) are the result; grid_step adds one 8.2 MB diff
+        assert ir.h.size == 16 * self.N
+        assert peak < 36e6
+
+    def test_detect_echoes(self):
+        sweep = synthesize_echo_network(REF_MODEL, V_G, BAND, self.N)
+        ir = impulse_response(sweep, edge_fraction=0.5, oversample=16)
+        tracemalloc.start()
+        try:
+            train = detect_echoes(ir, 2 * REF_MODEL.length / V_G, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # |h| (8.2 MB) and nothing else of full length
+        assert len(train.peaks) == 13
+        assert peak < 12e6
 
 
 class TestEchoTrainType:

@@ -52,6 +52,14 @@ EXTRA_CALLS = [
                       "--gamma-s", "14.2G", "--theta-deg", "50"]),
     ("echo_loss_alpha", ["echo-loss", "--input", "{fixtures}/echo.s2p", "--length", "130u",
                          "--vg", "6161", "--known-alpha", "3.2"]),
+    # a narrower window on a coarser grid, and echo windows that run to
+    # the end of the un-oversampled grid
+    ("echo_loss_coarse", ["echo-loss", "--input", "{fixtures}/echo.s2p", "--length", "130u",
+                          "--vg", "6161", "--known-r", "0.1", "--oversample", "3",
+                          "--edge-fraction", "0.25", "--n-max", "6"]),
+    ("echo_loss_grid_end", ["echo-loss", "--input", "{fixtures}/echo.s2p", "--length", "130u",
+                            "--vg", "6161", "--known-r", "0.1", "--oversample", "1",
+                            "--n-max", "47"]),
     ("synth_csv", ["--seed", "{seed}", "synth", "--noise", "1e-5", "--name", "x.csv"]),
     ("convert_db_phase", ["convert", "--input", "{fixtures}/echo.s2p", "--output", "sweep.csv",
                           "--representation", "db_phase"]),
