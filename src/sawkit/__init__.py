@@ -3,7 +3,9 @@
 Covers network ingestion (Touchstone and CSV sweeps), frequency-domain
 cavity characterization, time-domain echo-train loss extraction,
 spin-strain coupling estimates for color-center emitters, and two-level
-drive dynamics. A click CLI (`sawkit`) wraps the main workflows.
+drive dynamics. A click CLI (`sawkit`) wraps the main workflows; it
+imports each subcommand's modules when that subcommand runs, so
+`sawkit budget` and `sawkit coupling` load no numpy.
 
 Names below are loaded from their submodule on first access (PEP 562),
 so `import sawkit` by itself does not pull in numpy. No module imports

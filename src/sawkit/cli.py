@@ -4,6 +4,9 @@ Subcommands: cavity, echo-loss, gate, budget, coupling, simulate, synth,
 convert. Exit codes are a stable scripting contract: 0 success, 2 for
 usage/parse problems, 3 for analysis failures. All file outputs are
 written atomically and are byte-identical for fixed flags and seed.
+
+Each subcommand imports the modules it runs when it runs, so a call
+pays only for its own imports: budget and coupling never load numpy.
 """
 
 from __future__ import annotations
@@ -12,37 +15,15 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
-import numpy as np
 
-from . import ingest, qdyn
 from .config import RunConfig, parse_config, parse_si, siv_params_from_mapping, strain_from_mapping
 from .errors import ArgumentError, FormatError, ToolkitError
-from .numerics import db_convert
-from .plotting import line_plot_svg
-from .specanalysis import CavityGeometry, cavity_report, report_csv, report_summary
-from .spinphonon import (
-    GaussianBeam,
-    beam_profile,
-    coupling_rate,
-    budget_summary,
-    phonon_budget,
-    rabi_from_phonons,
-    resonance_axial_field,
-    transverse_field,
-)
-from .timedomain import (
-    LossModel,
-    detect_echoes,
-    echo_train_csv,
-    fit_echo_decay,
-    impulse_response,
-    loss_model_summary,
-    synthesize_echo_network,
-    time_gate,
-)
+
+if TYPE_CHECKING:
+    from .ingest import NetworkSweep
 
 EXIT_USAGE = 2
 EXIT_ANALYSIS = 3
@@ -145,8 +126,9 @@ class AppState:
         _write_atomic(path, data)
         return path
 
-    def write_sweep(self, name: str, sweep: ingest.NetworkSweep):
+    def write_sweep(self, name: str, sweep: NetworkSweep):
         """Write every pair as ri CSV for a .csv name, else as Touchstone."""
+        from . import ingest
         if name.lower().endswith(".csv"):
             data = ingest.write_csv(sweep, sorted(sweep.s), representation="ri")
         else:
@@ -155,6 +137,7 @@ class AppState:
 
     def maybe_plot(self, name: str, x, y, title: str, x_label: str, y_label: str):
         if self.plot:
+            from .plotting import line_plot_svg
             svg = line_plot_svg(x, y, title=title, x_label=x_label, y_label=y_label)
             self.write(name, svg.encode())
 
@@ -180,13 +163,14 @@ def _beam_factor(waist, beam_wavelength, r_loc, z_loc) -> float:
         return 1.0
     if waist is None or beam_wavelength is None:
         _usage_error("--waist and --beam-wavelength go together")
+    from .spinphonon import GaussianBeam, beam_profile
     return beam_profile(GaussianBeam(w0=waist, wavelength=beam_wavelength), r_loc, z_loc)
 
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Key=value config file.")
 @click.option("--out-dir", type=click.Path(), default=None, help="Directory for output files.")
-@click.option("--seed", type=int, default=None, help="RNG seed for anything stochastic.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="RNG seed for anything stochastic.")
 @click.option("--plot", is_flag=True, default=False, help="Also emit SVG plots.")
 @click.pass_context
 def main(ctx, config_path, out_dir, seed, plot):
@@ -203,7 +187,8 @@ def main(ctx, config_path, out_dir, seed, plot):
     ctx.obj = AppState(cfg, Path(resolved_out), resolved_seed, resolved_plot)
 
 
-def _load_sweep(state: AppState, input_flag) -> ingest.NetworkSweep:
+def _load_sweep(state: AppState, input_flag) -> NetworkSweep:
+    from . import ingest
     path = input_flag or state.config.input
     if path is None:
         _usage_error("no input file given (flag --input or config key input)")
@@ -228,7 +213,7 @@ def _load_sweep(state: AppState, input_flag) -> ingest.NetworkSweep:
 @click.option("--n-mirror", type=click.IntRange(min=1), default=None, help="Electrodes per mirror.")
 @click.option("--vg", type=POSITIVE_SI, default=None, help="Group velocity in m/s.")
 @click.option("--alpha-db-mm", type=FiniteFloat(min=0, min_open=True), default=None, help="Propagation loss in dB/mm.")
-@click.option("--prominence", type=float, default=None, help="Peak prominence override.")
+@click.option("--prominence", type=FiniteFloat(min=0), default=None, help="Peak prominence override.")
 @click.option("--spacing", type=POSITIVE_SI, default=None, help="Minimum peak spacing in Hz.")
 @click.option(
     "--coupling",
@@ -240,6 +225,7 @@ def _load_sweep(state: AppState, input_flag) -> ingest.NetworkSweep:
 @pass_state
 def cavity(state, input_path, d, lambda0, n_mirror, vg, alpha_db_mm, prominence, spacing, coupling):
     """Characterize cavity modes of a sweep; writes CSV and a summary."""
+    from .specanalysis import CavityGeometry, cavity_report, report_csv, report_summary
     sweep = _load_sweep(state, input_path)
     d = state.cfg_value("d", d)
     lambda0 = state.cfg_value("lambda0", lambda0)
@@ -263,7 +249,7 @@ def cavity(state, input_path, d, lambda0, n_mirror, vg, alpha_db_mm, prominence,
     state.write("cavity_modes.csv", report_csv(report))
     summary = report_summary(report)
     state.write("cavity_summary.txt", summary.encode())
-    trace = np.abs(sweep.pair((2, 1)) if sweep.has_pair((2, 1)) else sweep.pair((1, 1)))
+    trace = abs(sweep.pair((2, 1)) if sweep.has_pair((2, 1)) else sweep.pair((1, 1)))
     state.maybe_plot(
         "cavity_plot.svg", sweep.freqs, trace, "cavity sweep", "frequency (Hz)", "|S|"
     )
@@ -294,6 +280,8 @@ def echo_loss(state, input_path, length, vg, known_r, known_alpha, n_max, window
     """Extract propagation loss from the echo train of a sweep."""
     if (known_r is None) == (known_alpha is None):
         _usage_error("supply exactly one of --known-r or --known-alpha")
+    from .numerics import db_convert
+    from .timedomain import detect_echoes, echo_train_csv, fit_echo_decay, impulse_response, loss_model_summary
     sweep = _load_sweep(state, input_path)
     if sweep.freqs.size * oversample > MAX_POINTS:
         _usage_error(
@@ -344,6 +332,7 @@ def gate(state, input_path, start, stop, output):
     """Time-gate a sweep and write it back out."""
     if stop < start:
         _usage_error("--stop must not precede --start")
+    from .timedomain import time_gate
     sweep = _load_sweep(state, input_path)
     try:
         gated = time_gate(sweep, (start, stop))
@@ -366,6 +355,7 @@ def gate(state, input_path, start, stop, output):
 @pass_state
 def budget(state, power_dbm, losses, g, f0, t0, waist, beam_wavelength, r_loc, z_loc):
     """Phonon budget: RF power to sqrt(n) g Rabi rate."""
+    from .spinphonon import budget_summary, phonon_budget, rabi_from_phonons
     try:
         bud = phonon_budget(power_dbm, list(losses), f0, t0)
         u = _beam_factor(waist, beam_wavelength, r_loc, z_loc)
@@ -399,6 +389,7 @@ def budget(state, power_dbm, losses, g, f0, t0, waist, beam_wavelength, r_loc, z
 @pass_state
 def coupling(state, f_m, b_x, waist, beam_wavelength, r_loc, z_loc, **flags):
     """Resonance fields and spin-phonon coupling for a strain tensor."""
+    from .spinphonon import coupling_rate, resonance_axial_field, transverse_field
     # the remaining flags are named after their config keys and override them
     overrides = dict(state.config.raw)
     for key, val in flags.items():
@@ -441,6 +432,8 @@ def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
     """Decaying Rabi oscillation trace."""
     if noise > 0 and state.seed is None:
         _usage_error("--noise needs --seed for reproducible output")
+    import numpy as np
+    from . import qdyn
     try:
         tau = math.inf if decay_tau_ns is None else decay_tau_ns * 1e-9
         t = np.linspace(0.0, t_max_ns * 1e-9, points)
@@ -458,13 +451,17 @@ def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
 
 @simulate.command("odar")
 @click.option("--rabi-mhz", type=FiniteFloat(min=0), default=25.0, show_default=True)
-@click.option("--f-spin-ghz", type=FiniteFloat(), default=3.83, show_default=True)
+@click.option("--f-spin-ghz", type=FiniteFloat(min=0, min_open=True), default=3.83, show_default=True)
 @click.option("--pulse-ns", type=FiniteFloat(min=0, min_open=True), default=20.0, show_default=True)
 @click.option("--span-mhz", type=FiniteFloat(), default=200.0, show_default=True)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=801, show_default=True)
 @pass_state
 def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
     """Swept-drive resonance spectrum at fixed pulse length."""
+    if not span_mhz > 0:
+        _usage_error(f"--span-mhz {span_mhz:g} must be positive")
+    import numpy as np
+    from . import qdyn
     try:
         f_spin = f_spin_ghz * 1e9
         half = span_mhz * 1e6 / 2.0
@@ -489,6 +486,8 @@ def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
 @pass_state
 def simulate_sidebands(state, carrier, mod_freq, mod_index, linewidth, orders, points):
     """Bessel-weighted sideband comb around a carrier."""
+    import numpy as np
+    from . import qdyn
     try:
         span = (orders + 1) * mod_freq
         grid = np.linspace(carrier - span, carrier + span, points)
@@ -535,6 +534,8 @@ def synth(state, t_eff, r_eff, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
         _usage_error(f"--f-hi {f_hi:g} Hz must exceed --f-lo {f_lo:g} Hz")
     if noise > 0 and state.seed is None:
         _usage_error("--noise needs --seed for reproducible output")
+    from .numerics import db_convert
+    from .timedomain import LossModel, synthesize_echo_network
     try:
         alpha = db_convert(alpha_db_mm, "db_per_mm_to_per_m_power")
         model = LossModel(t=t_eff, r=r_eff, alpha=alpha, length=length)
@@ -570,6 +571,7 @@ def synth(state, t_eff, r_eff, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
 @pass_state
 def convert(state, input_path, output, pairs, representation):
     """Convert between Touchstone and the CSV sweep schema."""
+    from . import ingest
     sweep = _load_sweep(state, input_path)
     try:
         if output.lower().endswith(".csv"):

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .errors import ArgumentError, FormatError
-from .spinphonon import SIV_DEFAULTS, SivParams, StrainTensor
+
+if TYPE_CHECKING:
+    from .spinphonon import SivParams, StrainTensor
 
 __all__ = [
     "SI_SUFFIXES",
@@ -79,11 +81,17 @@ _SIV_KEYS = ("gamma_s", "lambda_so", "d_s", "f_s", "theta_deg")
 _STRAIN_KEYS = ("eps_xx", "eps_yy", "eps_zz", "eps_xy", "eps_yz", "eps_zx")
 
 
-def siv_params_from_mapping(mapping: Dict[str, str], base: SivParams = SIV_DEFAULTS) -> SivParams:
-    """Build SivParams from config keys, overriding the shipped defaults.
+def siv_params_from_mapping(mapping: Dict[str, str], base: Optional[SivParams] = None) -> SivParams:
+    """Build SivParams from config keys, overriding base (default: the shipped defaults).
 
     theta is configured in degrees (key theta_deg) and stored in radians.
     """
+    # spinphonon is imported on use, so loading config (as the CLI always
+    # does) costs no more than this module
+    from .spinphonon import SIV_DEFAULTS, SivParams
+
+    if base is None:
+        base = SIV_DEFAULTS
     values = {
         "gamma_s": base.gamma_s,
         "lambda_so": base.lambda_so,
@@ -103,8 +111,21 @@ def siv_params_from_mapping(mapping: Dict[str, str], base: SivParams = SIV_DEFAU
 
 def strain_from_mapping(mapping: Dict[str, str]) -> StrainTensor:
     """Build a StrainTensor from eps_* config keys (absent ones are 0)."""
+    from .spinphonon import StrainTensor
+
     values = {key: parse_si(mapping[key]) for key in _STRAIN_KEYS if key in mapping}
     return StrainTensor(**values)
+
+
+def _seed(text: str) -> int:
+    """A config seed: a nonnegative integer, as --seed takes."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise ArgumentError(f"seed must be a nonnegative integer, got {text!r}")
 
 
 @dataclass
@@ -146,7 +167,7 @@ class RunConfig:
         return cls(
             input=mapping.get("input"),
             out_dir=mapping.get("out_dir"),
-            seed=int(mapping["seed"]) if "seed" in mapping else None,
+            seed=_seed(mapping["seed"]) if "seed" in mapping else None,
             plot=plot,
             d=opt_si("d"),
             lambda0=opt_si("lambda0"),

@@ -23,6 +23,7 @@ __all__ = [
     "bessel_j",
     "db_convert",
     "grid_step",
+    "seeded_rng",
     "SHIPPED_MODELS",
     "line",
     "lorentzian",
@@ -87,6 +88,15 @@ def grid_step(x, rel_tol: float = 1e-6) -> float:
     if steps.max() > rel_tol * abs(mean):
         raise GridError("grid spacing is not uniform; resample first")
     return float(mean)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """The noise generator for an explicit seed; noise is never drawn from an ambient RNG."""
+    if seed is None:
+        raise ArgumentError("noise requires an explicit seed")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ArgumentError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------

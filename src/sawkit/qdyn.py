@@ -105,8 +105,8 @@ def simulate_rabi_trace(
 ) -> Series:
     """Resonant Rabi trace 1/2 (1 - e^(-t/tau) cos(2 pi rabi t)) plus noise.
 
-    Gaussian noise of scale noise_sigma requires an explicit seed and is
-    deterministic for a fixed one.
+    Gaussian noise of scale noise_sigma requires an explicit nonnegative
+    integer seed and is deterministic for a fixed one.
     """
     if not 0 <= noise_sigma < math.inf:
         raise ArgumentError("noise_sigma must be nonnegative and finite")
@@ -114,9 +114,7 @@ def simulate_rabi_trace(
     t = np.asarray(t_grid, dtype=float)
     y = rabi_population(drive, t)
     if noise_sigma > 0:
-        if seed is None:
-            raise ArgumentError("noise requires an explicit seed")
-        rng = np.random.default_rng(seed)
+        rng = numerics.seeded_rng(seed)
         y = y + rng.normal(0.0, noise_sigma, t.size)
     return Series(t, y)
 

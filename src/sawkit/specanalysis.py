@@ -12,14 +12,16 @@ import bisect
 import io
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import numerics
 from .errors import ArgumentError, FitError, InconsistencyError
-from .ingest import NetworkSweep
 from .numerics import Series, db_convert, least_squares
+
+if TYPE_CHECKING:
+    from .ingest import NetworkSweep
 
 __all__ = [
     "LorentzianPeak",

@@ -22,7 +22,7 @@ from .errors import (
     ResolutionError,
 )
 from .ingest import NetworkSweep
-from .numerics import db_convert, dft, grid_step
+from .numerics import db_convert, dft, grid_step, seeded_rng
 
 __all__ = [
     "ImpulseResponse",
@@ -412,7 +412,8 @@ def synthesize_echo_network(
     q = rho e^(-2i theta) and theta = 2 pi f L / v_g.
     idt_response = (center_hz, fractional_bandwidth) multiplies in a
     raised-cosine passband envelope. Complex Gaussian noise of scale
-    noise_sigma requires an explicit seed; the RNG is never ambient.
+    noise_sigma requires an explicit nonnegative integer seed; the RNG is
+    never ambient.
     """
     f_lo, f_hi = band
     if not (f_lo > 0 and f_hi > f_lo):
@@ -453,9 +454,7 @@ def synthesize_echo_network(
             arrivals = arrivals * envelope
         s21 = s21 + arrivals
     if noise_sigma > 0:
-        if seed is None:
-            raise ArgumentError("noise requires an explicit seed")
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         s21 = s21 + noise_sigma * (
             rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
         )

@@ -327,6 +327,65 @@ class TestAnalysisFlagRanges:
         assert not out.exists()
 
 
+class TestSeedAndSpectrumFlags:
+    """Seeds, the cavity prominence and the ODAR axis; each used to end in a traceback or exit 0/3."""
+
+    PAPER = ["--length", "58.565u", "--r", "0.6", "--alpha-db-mm", "2.0"]
+    CAVITY = ["cavity", "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"]
+    BUDGET = ["budget", "--power-dbm", "0", "--g", "30k", "--f0", "3.8G", "--t0", "20n"]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--seed", "-1", "synth", "--noise", "1e-5"], "-1 is not in the range x>=0"),
+            (["--seed", "-1", "simulate", "rabi", "--rabi-mhz", "1", "--noise", "0.1"],
+             "-1 is not in the range x>=0"),
+            (["--seed", "1.5", "synth", "--noise", "1e-5"], "'1.5' is not a valid integer"),
+            (["simulate", "odar", "--f-spin-ghz", "-1"], "-1.0 is not in the range x>0"),
+            (["simulate", "odar", "--f-spin-ghz", "0"], "0.0 is not in the range x>0"),
+            (["simulate", "odar", "--span-mhz", "0"], "--span-mhz 0 must be positive"),
+            (["simulate", "odar", "--span-mhz", "-5"], "--span-mhz -5 must be positive"),
+        ],
+    )
+    def test_exits_2(self, runner, tmp_path, args, message):
+        out = tmp_path / "out"
+        result = run(runner, ["--out-dir", str(out), *args])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("nan", "'nan' is not a finite number"),
+            ("inf", "'inf' is not a finite number"),
+            ("-1", "-1.0 is not in the range x>=0"),
+        ],
+    )
+    def test_prominence_exits_2(self, runner, tmp_path, value, message):
+        path = synth_fixture(runner, tmp_path / "in", extra=self.PAPER)
+        out = tmp_path / "out"
+        result = run(runner, ["--out-dir", str(out), *self.CAVITY, "--input", str(path),
+                              "--prominence", value])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    def test_prominence_zero_is_valid(self, runner, tmp_path):
+        path = synth_fixture(runner, tmp_path / "in", extra=self.PAPER)
+        result = run(runner, ["--out-dir", str(tmp_path / "out"), *self.CAVITY,
+                              "--input", str(path), "--prominence", "0", "--spacing", "30M"])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "-3"])
+    def test_config_seed_exits_2(self, runner, tmp_path, seed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        result = run(runner, ["--config", str(cfg), "--out-dir", str(tmp_path), *self.BUDGET])
+        assert result.exit_code == 2, result.output
+        assert f"config: seed must be a nonnegative integer, got '{seed}'" in result.output
+
+
 class TestSynthUsage:
     """Flag combinations synthesis cannot honour are bad usage, not analysis failures."""
 

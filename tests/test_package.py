@@ -136,3 +136,43 @@ def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
     written = {p.name for p in tmp_path.iterdir()}
     assert {"cavity_plot.svg", "loss_model.txt", "gated.s2p", "sweep.csv",
             "rabi_trace.csv", "odar_spectrum.csv", "sideband_spectrum.csv"} <= written
+
+
+# The sawkit modules a README call loads besides the package, cli, config and
+# errors. textformat comes with the first file written; plotting with --plot.
+SUBCOMMAND_MODULES = {
+    "synth": {"timedomain", "ingest", "numerics", "textformat"},
+    "cavity": {"specanalysis", "ingest", "numerics", "plotting"},
+    "echo-loss": {"timedomain", "ingest", "numerics"},
+    "gate": {"timedomain", "ingest", "numerics", "textformat"},
+    "convert": {"ingest", "textformat"},
+    "budget": {"spinphonon"},
+    "coupling": {"spinphonon"},
+    "simulate": {"qdyn", "numerics", "textformat"},
+}
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    """One fresh interpreter per README call; budget and coupling load no numpy."""
+    src = str(Path(sawkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import json, os, sys\n"
+        "from click.testing import CliRunner\n"
+        "from sawkit.cli import main\n"
+        "result = CliRunner().invoke(main, ['--out-dir', os.getcwd(), *json.loads(sys.argv[1])])\n"
+        "print(json.dumps([result.exit_code, 'numpy' in sys.modules,\n"
+        "                  sorted(m for m in sys.modules if m.split('.')[0] == 'sawkit')]))\n"
+    )
+    for args in README_SESSION:
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(args)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+        )
+        exit_code, numpy_loaded, modules = json.loads(out.stdout)
+        command = next(a for a in args if a in SUBCOMMAND_MODULES)
+        assert exit_code == 0, (args, out.stderr)
+        expected = {"sawkit", "sawkit.cli", "sawkit.config", "sawkit.errors"}
+        expected |= {f"sawkit.{m}" for m in SUBCOMMAND_MODULES[command]}
+        assert set(modules) == expected, args
+        assert numpy_loaded == (command not in ("budget", "coupling")), args

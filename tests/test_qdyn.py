@@ -110,6 +110,12 @@ class TestSimulateRabiTrace:
         with pytest.raises(ArgumentError):
             simulate_rabi_trace(33.4e6, 150e-9, t, noise_sigma=0.02)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_noise_seed_must_be_nonnegative_integer(self, seed):
+        t = np.linspace(0.0, 200e-9, 401)
+        with pytest.raises(ArgumentError, match="seed must be a nonnegative integer"):
+            simulate_rabi_trace(33.4e6, 150e-9, t, noise_sigma=0.02, seed=seed)
+
     def test_empty_grid(self):
         with pytest.raises(ArgumentError):
             simulate_rabi_trace(33.4e6, 150e-9, np.array([]))

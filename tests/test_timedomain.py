@@ -523,6 +523,11 @@ class TestSynthesizeEchoNetwork:
         with pytest.raises(ArgumentError):
             synthesize_echo_network(REF_MODEL, V_G, (3.3e9, 4.3e9), 64, noise_sigma=1e-3)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_noise_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ArgumentError, match="seed must be a nonnegative integer"):
+            synthesize_echo_network(REF_MODEL, V_G, (3.3e9, 4.3e9), 64, noise_sigma=1e-3, seed=seed)
+
     def test_noise_reproducible(self):
         a = synthesize_echo_network(REF_MODEL, V_G, (3.3e9, 4.3e9), 64, noise_sigma=1e-3, seed=9)
         b = synthesize_echo_network(REF_MODEL, V_G, (3.3e9, 4.3e9), 64, noise_sigma=1e-3, seed=9)

@@ -89,6 +89,11 @@ EXTRA_CALLS = [
     # prominence values themselves decide the output
     ("cavity_prominence_cut", ["--config", "{fixtures}/device.cfg", "cavity",
                                "--input", "{fixtures}/paper.s2p", "--prominence", "0.5"]),
+    # a cut below every mode's prominence: the same modes as the default cut
+    ("cavity_prominence_low", ["--config", "{fixtures}/device.cfg", "cavity",
+                               "--input", "{fixtures}/paper.s2p", "--prominence", "0.1"]),
+    # a narrower drive sweep away from the default spin frequency
+    ("simulate_odar_narrow", ["simulate", "odar", "--f-spin-ghz", "2.5", "--span-mhz", "50"]),
     # orders up to 10 at a large modulation index: weights far from the
     # carrier, where bessel_j's recurrence start order matters
     ("simulate_sidebands_high_order", ["simulate", "sidebands", "--mod-index", "7.5",
