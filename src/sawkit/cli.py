@@ -5,6 +5,10 @@ convert. Exit codes are a stable scripting contract: 0 success, 2 for
 usage/parse problems, 3 for analysis failures. All file outputs are
 written atomically and are byte-identical for fixed flags and seed.
 
+A --config file is a set of flag defaults: each key is the default of
+the same-named flag ('-' read as '_') in every subcommand, checked by that
+flag's own type, and a flag on the command line wins.
+
 Each subcommand imports the modules it runs when it runs, so a call
 pays only for its own imports: budget and coupling never load numpy.
 """
@@ -19,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 import click
 
-from .config import RunConfig, parse_config, parse_si, siv_params_from_mapping, strain_from_mapping
+from .config import parse_config, parse_si
 from .errors import ArgumentError, FormatError, ToolkitError
 
 if TYPE_CHECKING:
@@ -34,28 +38,25 @@ MAX_POINTS = 1 << 22
 
 
 class SIFloat(click.ParamType):
-    """Float flag accepting SI suffixes: 3.83G, 50u, -10.7."""
+    """Finite float flag accepting SI suffixes: 3.83G, 50u, -10.7.
 
-    name = "si-float"
+    With positive, for lengths, velocities, spacings and frequencies, it
+    also has to lie above zero.
+    """
+
+    def __init__(self, positive: bool = False):
+        self.positive = positive
+        self.name = "positive-si-float" if positive else "si-float"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, (int, float)):
-            return float(value)
         try:
-            return parse_si(value)
+            number = parse_si(value)
         except ArgumentError as exc:
             self.fail(str(exc), param, ctx)
-
-
-class PositiveSIFloat(SIFloat):
-    """SIFloat for lengths, velocities, spacings and frequencies: finite and above zero."""
-
-    name = "positive-si-float"
-
-    def convert(self, value, param, ctx):
-        number = super().convert(value, param, ctx)
-        if not 0 < number < math.inf:
+        if self.positive and not 0 < number < math.inf:
             self.fail(f"{value!r} is not a positive finite number", param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
         return number
 
 
@@ -76,7 +77,7 @@ class FiniteFloat(click.FloatRange):
 
 
 SI = SIFloat()
-POSITIVE_SI = PositiveSIFloat()
+POSITIVE_SI = SIFloat(positive=True)
 
 
 def _fail(code: int, message) -> "NoReturn":  # noqa: F821 - doc only
@@ -107,23 +108,17 @@ def _write_atomic(path: Path, data: bytes):
 
 
 class AppState:
-    def __init__(self, config: RunConfig, out_dir: Path, seed: Optional[int], plot: bool):
-        self.config = config
+    def __init__(self, out_dir: Path, seed: Optional[int], plot: bool):
         self.out_dir = out_dir
         self.seed = seed
         self.plot = plot
 
-    def cfg_value(self, key: str, flag_value, parser=parse_si):
-        """Flags override config; config fills in missing flags."""
-        if flag_value is not None:
-            return flag_value
-        if key in self.config.raw:
-            return parser(self.config.raw[key])
-        return None
-
     def write(self, name: str, data: bytes) -> Path:
         path = self.out_dir / name
-        _write_atomic(path, data)
+        try:
+            _write_atomic(path, data)
+        except OSError as exc:
+            _usage_error(f"cannot write {path}: {exc}")
         return path
 
     def write_sweep(self, name: str, sweep: NetworkSweep):
@@ -150,48 +145,69 @@ def beam_options(command):
     for option in reversed((
         click.option("--waist", type=POSITIVE_SI, default=None, help="Beam waist in m."),
         click.option("--beam-wavelength", type=POSITIVE_SI, default=None, help="Acoustic wavelength in m."),
-        click.option("--r", "r_loc", type=SI, default=0.0, help="Emitter radial offset in m."),
-        click.option("--z", "z_loc", type=SI, default=0.0, help="Emitter axial offset in m."),
+        click.option("--r", type=SI, default=0.0, help="Emitter radial offset in m."),
+        click.option("--z", type=SI, default=0.0, help="Emitter axial offset in m."),
     )):
         command = option(command)
     return command
 
 
-def _beam_factor(waist, beam_wavelength, r_loc, z_loc) -> float:
+def _beam_factor(waist, beam_wavelength, r, z) -> float:
     """Beam envelope at the emitter; 1 (at focus) when no beam is given."""
     if waist is None and beam_wavelength is None:
         return 1.0
     if waist is None or beam_wavelength is None:
         _usage_error("--waist and --beam-wavelength go together")
     from .spinphonon import GaussianBeam, beam_profile
-    return beam_profile(GaussianBeam(w0=waist, wavelength=beam_wavelength), r_loc, z_loc)
+    return beam_profile(GaussianBeam(w0=waist, wavelength=beam_wavelength), r, z)
 
 
-@click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None, help="Key=value config file.")
-@click.option("--out-dir", type=click.Path(), default=None, help="Directory for output files.")
+def _config_defaults(command: click.Command, mapping: dict) -> dict:
+    """A default_map: the mapping for command, and again under each subcommand name."""
+    subcommands = getattr(command, "commands", {})
+    return {**mapping, **{name: _config_defaults(sub, mapping) for name, sub in subcommands.items()}}
+
+
+def _load_config(ctx, param, path):
+    """Make the config file's keys the defaults of the same-named flags."""
+    if path is not None:
+        try:
+            mapping = parse_config(_read_file(path))
+        except FormatError as exc:
+            _usage_error(f"config: {exc}")
+        ctx.default_map = _config_defaults(ctx.command, mapping)
+
+
+class ToolkitGroup(click.Group):
+    """A group whose subcommands' uncaught toolkit errors are analysis failures (exit 3)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ToolkitError as exc:
+            _fail(EXIT_ANALYSIS, exc)
+
+
+@click.group(cls=ToolkitGroup)
+@click.option(
+    "--config",
+    type=click.Path(),
+    is_eager=True,
+    expose_value=False,
+    callback=_load_config,
+    help="Key=value file of defaults for the same-named flags.",
+)
+@click.option("--out-dir", type=click.Path(path_type=Path), default=".", help="Directory for output files.")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="RNG seed for anything stochastic.")
 @click.option("--plot", is_flag=True, default=False, help="Also emit SVG plots.")
 @click.pass_context
-def main(ctx, config_path, out_dir, seed, plot):
+def main(ctx, out_dir, seed, plot):
     """Surface-acoustic-wave resonator analysis toolkit."""
-    cfg = RunConfig()
-    if config_path is not None:
-        try:
-            cfg = RunConfig.from_mapping(parse_config(_read_file(config_path)))
-        except ToolkitError as exc:
-            _usage_error(f"config: {exc}")
-    resolved_out = out_dir or cfg.out_dir or "."
-    resolved_seed = seed if seed is not None else cfg.seed
-    resolved_plot = plot or bool(cfg.plot)
-    ctx.obj = AppState(cfg, Path(resolved_out), resolved_seed, resolved_plot)
+    ctx.obj = AppState(out_dir, seed, plot)
 
 
-def _load_sweep(state: AppState, input_flag) -> NetworkSweep:
+def _load_sweep(path) -> NetworkSweep:
     from . import ingest
-    path = input_flag or state.config.input
-    if path is None:
-        _usage_error("no input file given (flag --input or config key input)")
     data = _read_file(path)
     suffix = Path(path).suffix.lower()
     try:
@@ -207,11 +223,11 @@ def _load_sweep(state: AppState, input_flag) -> NetworkSweep:
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(), default=None)
-@click.option("--d", type=POSITIVE_SI, default=None, help="IDT separation in m.")
-@click.option("--lambda0", type=POSITIVE_SI, default=None, help="Acoustic wavelength in m.")
-@click.option("--n-mirror", type=click.IntRange(min=1), default=None, help="Electrodes per mirror.")
-@click.option("--vg", type=POSITIVE_SI, default=None, help="Group velocity in m/s.")
+@click.option("--input", type=click.Path(), required=True)
+@click.option("--d", type=POSITIVE_SI, required=True, help="IDT separation in m.")
+@click.option("--lambda0", type=POSITIVE_SI, required=True, help="Acoustic wavelength in m.")
+@click.option("--n-mirror", type=click.IntRange(min=1), required=True, help="Electrodes per mirror.")
+@click.option("--vg", type=POSITIVE_SI, required=True, help="Group velocity in m/s.")
 @click.option("--alpha-db-mm", type=FiniteFloat(min=0, min_open=True), default=None, help="Propagation loss in dB/mm.")
 @click.option("--prominence", type=FiniteFloat(min=0), default=None, help="Peak prominence override.")
 @click.option("--spacing", type=POSITIVE_SI, default=None, help="Minimum peak spacing in Hz.")
@@ -223,29 +239,18 @@ def _load_sweep(state: AppState, input_flag) -> NetworkSweep:
     help="Reflection-dip convention for internal Q.",
 )
 @pass_state
-def cavity(state, input_path, d, lambda0, n_mirror, vg, alpha_db_mm, prominence, spacing, coupling):
+def cavity(state, input, d, lambda0, n_mirror, vg, alpha_db_mm, prominence, spacing, coupling):
     """Characterize cavity modes of a sweep; writes CSV and a summary."""
     from .specanalysis import CavityGeometry, cavity_report, report_csv, report_summary
-    sweep = _load_sweep(state, input_path)
-    d = state.cfg_value("d", d)
-    lambda0 = state.cfg_value("lambda0", lambda0)
-    vg = state.cfg_value("vg", vg)
-    n_mirror = n_mirror if n_mirror is not None else state.config.n_mirror
-    if None in (d, lambda0, vg) or n_mirror is None:
-        _usage_error("geometry required: --d, --lambda0, --n-mirror, --vg (or config)")
-    alpha_db_mm = state.cfg_value("alpha_db_mm", alpha_db_mm, parser=float)
-    try:
-        geom = CavityGeometry(d=d, lambda0=lambda0, n_mirror=n_mirror, v_g=vg)
-        report = cavity_report(
-            sweep,
-            geom,
-            alpha_db_per_mm=alpha_db_mm,
-            min_prominence=prominence,
-            min_spacing=spacing,
-            convention=coupling,
-        )
-    except ToolkitError as exc:
-        _fail(EXIT_ANALYSIS, exc)
+    sweep = _load_sweep(input)
+    report = cavity_report(
+        sweep,
+        CavityGeometry(d=d, lambda0=lambda0, n_mirror=n_mirror, v_g=vg),
+        alpha_db_per_mm=alpha_db_mm,
+        min_prominence=prominence,
+        min_spacing=spacing,
+        convention=coupling,
+    )
     state.write("cavity_modes.csv", report_csv(report))
     summary = report_summary(report)
     state.write("cavity_summary.txt", summary.encode())
@@ -261,9 +266,9 @@ def cavity(state, input_path, d, lambda0, n_mirror, vg, alpha_db_mm, prominence,
 
 
 @main.command("echo-loss")
-@click.option("--input", "input_path", type=click.Path(), default=None)
-@click.option("--length", type=POSITIVE_SI, default=None, help="Propagation length L in m.")
-@click.option("--vg", type=POSITIVE_SI, default=None, help="Group velocity in m/s.")
+@click.option("--input", type=click.Path(), required=True)
+@click.option("--length", type=POSITIVE_SI, required=True, help="Propagation length L in m.")
+@click.option("--vg", type=POSITIVE_SI, required=True, help="Group velocity in m/s.")
 @click.option("--known-r", type=FiniteFloat(0, 1, min_open=True), default=None, help="Known mirror power reflectivity.")
 @click.option("--known-alpha", type=FiniteFloat(min=0), default=None, help="Known attenuation in dB/mm.")
 @click.option("--n-max", type=click.IntRange(min=0), default=4, show_default=True, help="Highest echo index.")
@@ -276,33 +281,23 @@ def cavity(state, input_path, d, lambda0, n_mirror, vg, alpha_db_mm, prominence,
 @click.option("--edge-fraction", type=FiniteFloat(0, 0.5), default=0.5, show_default=True)
 @click.option("--oversample", type=click.IntRange(min=1), default=16, show_default=True)
 @pass_state
-def echo_loss(state, input_path, length, vg, known_r, known_alpha, n_max, window, edge_fraction, oversample):
+def echo_loss(state, input, length, vg, known_r, known_alpha, n_max, window, edge_fraction, oversample):
     """Extract propagation loss from the echo train of a sweep."""
     if (known_r is None) == (known_alpha is None):
         _usage_error("supply exactly one of --known-r or --known-alpha")
     from .numerics import db_convert
     from .timedomain import detect_echoes, echo_train_csv, fit_echo_decay, impulse_response, loss_model_summary
-    sweep = _load_sweep(state, input_path)
+    sweep = _load_sweep(input)
     if sweep.freqs.size * oversample > MAX_POINTS:
         _usage_error(
             f"{sweep.freqs.size} points x --oversample {oversample} exceeds "
             f"the {MAX_POINTS}-point transform limit"
         )
-    length = state.cfg_value("length", length)
-    vg = state.cfg_value("vg", vg)
-    if length is None or vg is None:
-        _usage_error("--length and --vg are required (or config keys length/vg)")
-    try:
-        ir = impulse_response(
-            sweep, window=window, edge_fraction=edge_fraction, oversample=oversample
-        )
-        round_trip = 2.0 * length / vg
-        train = detect_echoes(ir, round_trip, n_max)
-        if known_alpha is not None:
-            known_alpha = db_convert(known_alpha, "db_per_mm_to_per_m_power")
-        model = fit_echo_decay(train, length, known_r=known_r, known_alpha=known_alpha)
-    except ToolkitError as exc:
-        _fail(EXIT_ANALYSIS, exc)
+    ir = impulse_response(sweep, window=window, edge_fraction=edge_fraction, oversample=oversample)
+    train = detect_echoes(ir, 2.0 * length / vg, n_max)
+    if known_alpha is not None:
+        known_alpha = db_convert(known_alpha, "db_per_mm_to_per_m_power")
+    model = fit_echo_decay(train, length, known_r=known_r, known_alpha=known_alpha)
     state.write("echo_train.csv", echo_train_csv(train))
     summary = loss_model_summary(model)
     state.write("loss_model.txt", summary.encode())
@@ -323,22 +318,17 @@ def echo_loss(state, input_path, length, vg, known_r, known_alpha, n_max, window
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(), default=None)
+@click.option("--input", type=click.Path(), required=True)
 @click.option("--start", type=SI, required=True, help="Gate start in s.")
 @click.option("--stop", type=SI, required=True, help="Gate stop in s.")
 @click.option("--output", default="gated.s2p", show_default=True, help="Output file name.")
 @pass_state
-def gate(state, input_path, start, stop, output):
+def gate(state, input, start, stop, output):
     """Time-gate a sweep and write it back out."""
     if stop < start:
         _usage_error("--stop must not precede --start")
     from .timedomain import time_gate
-    sweep = _load_sweep(state, input_path)
-    try:
-        gated = time_gate(sweep, (start, stop))
-    except ToolkitError as exc:
-        _fail(EXIT_ANALYSIS, exc)
-    state.write_sweep(output, gated)
+    state.write_sweep(output, time_gate(_load_sweep(input), (start, stop)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +337,18 @@ def gate(state, input_path, start, stop, output):
 
 @main.command()
 @click.option("--power-dbm", type=FiniteFloat(), required=True, help="RF drive power in dBm.")
-@click.option("--loss", "losses", type=FiniteFloat(), multiple=True, help="Loss chain entry in dB (repeatable).")
+@click.option("--loss", type=FiniteFloat(), multiple=True, help="Loss chain entry in dB (repeatable).")
 @click.option("--g", type=SI, required=True, help="Single-phonon coupling rate in Hz.")
 @click.option("--f0", type=SI, required=True, help="Mode frequency in Hz.")
 @click.option("--t0", type=SI, required=True, help="Phonon duration in s.")
 @beam_options
 @pass_state
-def budget(state, power_dbm, losses, g, f0, t0, waist, beam_wavelength, r_loc, z_loc):
+def budget(state, power_dbm, loss, g, f0, t0, waist, beam_wavelength, r, z):
     """Phonon budget: RF power to sqrt(n) g Rabi rate."""
     from .spinphonon import budget_summary, phonon_budget, rabi_from_phonons
     try:
-        bud = phonon_budget(power_dbm, list(losses), f0, t0)
-        u = _beam_factor(waist, beam_wavelength, r_loc, z_loc)
+        bud = phonon_budget(power_dbm, list(loss), f0, t0)
+        u = _beam_factor(waist, beam_wavelength, r, z)
         rabi = rabi_from_phonons(bud.n, g * u)
     except ArgumentError as exc:
         _usage_error(exc)
@@ -374,35 +364,34 @@ def budget(state, power_dbm, losses, g, f0, t0, waist, beam_wavelength, r_loc, z
 @main.command()
 @click.option("--f-m", type=SI, required=True, help="Mechanical mode frequency in Hz.")
 @click.option("--b-x", type=SI, default=None, help="Transverse field override in T.")
-@click.option("--eps-xx", type=float, default=None)
-@click.option("--eps-yy", type=float, default=None)
-@click.option("--eps-zz", type=float, default=None)
-@click.option("--eps-xy", type=float, default=None)
-@click.option("--eps-yz", type=float, default=None)
-@click.option("--eps-zx", type=float, default=None)
+@click.option("--eps-xx", type=SI, default=0.0)
+@click.option("--eps-yy", type=SI, default=0.0)
+@click.option("--eps-zz", type=SI, default=0.0)
+@click.option("--eps-xy", type=SI, default=0.0)
+@click.option("--eps-yz", type=SI, default=0.0)
+@click.option("--eps-zx", type=SI, default=0.0)
 @click.option("--gamma-s", type=SI, default=None, help="Gyromagnetic ratio in Hz/T.")
 @click.option("--lambda-so", type=SI, default=None, help="Orbital splitting in Hz.")
 @click.option("--d-s", type=SI, default=None, help="Strain susceptibility in Hz.")
 @click.option("--f-s", type=SI, default=None, help="Strain susceptibility in Hz.")
-@click.option("--theta-deg", type=float, default=None, help="Field angle in degrees.")
+@click.option("--theta-deg", type=SI, default=None, help="Field angle in degrees.")
 @beam_options
 @pass_state
-def coupling(state, f_m, b_x, waist, beam_wavelength, r_loc, z_loc, **flags):
+def coupling(state, f_m, b_x, gamma_s, lambda_so, d_s, f_s, theta_deg,
+             waist, beam_wavelength, r, z, **strain):
     """Resonance fields and spin-phonon coupling for a strain tensor."""
-    from .spinphonon import coupling_rate, resonance_axial_field, transverse_field
-    # the remaining flags are named after their config keys and override them
-    overrides = dict(state.config.raw)
-    for key, val in flags.items():
-        if val is not None:
-            overrides[key] = val
+    from .spinphonon import SivParams, StrainTensor, coupling_rate, resonance_axial_field, transverse_field
+    theta = None if theta_deg is None else math.radians(theta_deg)
+    siv = dict(gamma_s=gamma_s, lambda_so=lambda_so, d_s=d_s, f_s=f_s, theta=theta)
     try:
-        params = siv_params_from_mapping(overrides)
-        eps = strain_from_mapping(overrides)
+        # SivParams' own defaults stand in for the constants not given
+        params = SivParams(**{key: val for key, val in siv.items() if val is not None})
+        eps = StrainTensor(**strain)
         omega_m = 2.0 * math.pi * f_m
         b_z = resonance_axial_field(omega_m, params)
         bx = b_x if b_x is not None else transverse_field(omega_m, params)
         g = coupling_rate(params, bx, eps)
-        u = _beam_factor(waist, beam_wavelength, r_loc, z_loc)
+        u = _beam_factor(waist, beam_wavelength, r, z)
     except ArgumentError as exc:
         _usage_error(exc)
     out = (
@@ -434,14 +423,9 @@ def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
         _usage_error("--noise needs --seed for reproducible output")
     import numpy as np
     from . import qdyn
-    try:
-        tau = math.inf if decay_tau_ns is None else decay_tau_ns * 1e-9
-        t = np.linspace(0.0, t_max_ns * 1e-9, points)
-        trace = qdyn.simulate_rabi_trace(
-            rabi_mhz * 1e6, tau, t, noise_sigma=noise, seed=state.seed
-        )
-    except ToolkitError as exc:
-        _fail(EXIT_ANALYSIS, exc)
+    tau = math.inf if decay_tau_ns is None else decay_tau_ns * 1e-9
+    t = np.linspace(0.0, t_max_ns * 1e-9, points)
+    trace = qdyn.simulate_rabi_trace(rabi_mhz * 1e6, tau, t, noise_sigma=noise, seed=state.seed)
     state.write("rabi_trace.csv", qdyn.series_csv(trace, "t_s", "population"))
     state.maybe_plot(
         "rabi_trace.svg", trace.x * 1e9, trace.y, "rabi trace", "t (ns)", "population"
@@ -462,13 +446,10 @@ def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
         _usage_error(f"--span-mhz {span_mhz:g} must be positive")
     import numpy as np
     from . import qdyn
-    try:
-        f_spin = f_spin_ghz * 1e9
-        half = span_mhz * 1e6 / 2.0
-        grid = np.linspace(f_spin - half, f_spin + half, points)
-        spec = qdyn.odar_spectrum(rabi_mhz * 1e6, f_spin, pulse_ns * 1e-9, grid)
-    except ToolkitError as exc:
-        _fail(EXIT_ANALYSIS, exc)
+    f_spin = f_spin_ghz * 1e9
+    half = span_mhz * 1e6 / 2.0
+    grid = np.linspace(f_spin - half, f_spin + half, points)
+    spec = qdyn.odar_spectrum(rabi_mhz * 1e6, f_spin, pulse_ns * 1e-9, grid)
     state.write("odar_spectrum.csv", qdyn.series_csv(spec, "f_hz", "population"))
     state.maybe_plot(
         "odar_spectrum.svg", spec.x / 1e9, spec.y, "swept-drive spectrum", "f (GHz)", "population"
@@ -488,12 +469,9 @@ def simulate_sidebands(state, carrier, mod_freq, mod_index, linewidth, orders, p
     """Bessel-weighted sideband comb around a carrier."""
     import numpy as np
     from . import qdyn
-    try:
-        span = (orders + 1) * mod_freq
-        grid = np.linspace(carrier - span, carrier + span, points)
-        spec = qdyn.sideband_spectrum(carrier, mod_freq, mod_index, linewidth, orders, grid)
-    except ToolkitError as exc:
-        _fail(EXIT_ANALYSIS, exc)
+    span = (orders + 1) * mod_freq
+    grid = np.linspace(carrier - span, carrier + span, points)
+    spec = qdyn.sideband_spectrum(carrier, mod_freq, mod_index, linewidth, orders, grid)
     state.write("sideband_spectrum.csv", qdyn.series_csv(spec, "f_hz", "intensity"))
     state.maybe_plot(
         "sideband_spectrum.svg", spec.x, spec.y, "sideband spectrum", "f (Hz)", "intensity"
@@ -506,8 +484,8 @@ def simulate_sidebands(state, carrier, mod_freq, mod_index, linewidth, orders, p
 
 
 @main.command()
-@click.option("--t", "t_eff", type=FiniteFloat(0, 1), default=0.3, show_default=True, help="IDT conversion efficiency.")
-@click.option("--r", "r_eff", type=FiniteFloat(0, 1), default=0.1, show_default=True, help="Mirror power reflectivity.")
+@click.option("--t", type=FiniteFloat(0, 1), default=0.3, show_default=True, help="IDT conversion efficiency.")
+@click.option("--r", type=FiniteFloat(0, 1), default=0.1, show_default=True, help="Mirror power reflectivity.")
 @click.option("--alpha-db-mm", type=FiniteFloat(min=0), default=3.2, show_default=True)
 @click.option("--length", type=POSITIVE_SI, default=130e-6, show_default=True, help="Propagation length in m.")
 @click.option("--vg", type=POSITIVE_SI, default=6161.0, show_default=True)
@@ -520,7 +498,7 @@ def simulate_sidebands(state, carrier, mod_freq, mod_index, linewidth, orders, p
 @click.option("--noise", type=FiniteFloat(min=0), default=0.0, show_default=True)
 @click.option("--name", default="synthetic.s2p", show_default=True)
 @pass_state
-def synth(state, t_eff, r_eff, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
+def synth(state, t, r, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
           crosstalk, idt_center, idt_bw, noise, name):
     """Write a synthetic echo-network fixture as Touchstone or CSV."""
     idt = None
@@ -536,21 +514,17 @@ def synth(state, t_eff, r_eff, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
         _usage_error("--noise needs --seed for reproducible output")
     from .numerics import db_convert
     from .timedomain import LossModel, synthesize_echo_network
-    try:
-        alpha = db_convert(alpha_db_mm, "db_per_mm_to_per_m_power")
-        model = LossModel(t=t_eff, r=r_eff, alpha=alpha, length=length)
-        sweep = synthesize_echo_network(
-            model,
-            vg,
-            (f_lo, f_hi),
-            n_points,
-            crosstalk=crosstalk,
-            idt_response=idt,
-            noise_sigma=noise,
-            seed=state.seed,
-        )
-    except ToolkitError as exc:
-        _fail(EXIT_ANALYSIS, exc)
+    alpha = db_convert(alpha_db_mm, "db_per_mm_to_per_m_power")
+    sweep = synthesize_echo_network(
+        LossModel(t=t, r=r, alpha=alpha, length=length),
+        vg,
+        (f_lo, f_hi),
+        n_points,
+        crosstalk=crosstalk,
+        idt_response=idt,
+        noise_sigma=noise,
+        seed=state.seed,
+    )
     state.write_sweep(name, sweep)
 
 
@@ -558,10 +532,25 @@ def synth(state, t_eff, r_eff, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
 # convert
 
 
+def _pair_list(ctx, param, names):
+    """--pairs as port pairs, so an unknown name is bad usage at parse time."""
+    from .ingest import pair_from_name
+    try:
+        return [pair_from_name(token) for token in names.split(",")]
+    except ArgumentError as exc:
+        raise click.BadParameter(str(exc)) from None
+
+
 @main.command()
-@click.option("--input", "input_path", type=click.Path(), required=True)
+@click.option("--input", type=click.Path(), required=True)
 @click.option("--output", required=True, help="Output name; .s2p and .csv choose the format.")
-@click.option("--pairs", default="s11,s21,s12,s22", show_default=True, help="Pairs for CSV output.")
+@click.option(
+    "--pairs",
+    default="s11,s21,s12,s22",
+    show_default=True,
+    callback=_pair_list,
+    help="Pairs for CSV output.",
+)
 @click.option(
     "--representation",
     type=click.Choice(["ri", "db_phase"]),
@@ -569,26 +558,19 @@ def synth(state, t_eff, r_eff, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
     show_default=True,
 )
 @pass_state
-def convert(state, input_path, output, pairs, representation):
+def convert(state, input, output, pairs, representation):
     """Convert between Touchstone and the CSV sweep schema."""
     from . import ingest
-    sweep = _load_sweep(state, input_path)
-    try:
-        if output.lower().endswith(".csv"):
-            which = []
-            for token in pairs.split(","):
-                pair = ingest.pair_from_name(token)
-                if sweep.has_pair(pair):
-                    which.append(pair)
-            if not which:
-                _usage_error(f"none of the requested pairs present in {input_path}")
-            data = ingest.write_csv(sweep, which, representation=representation)
-        elif output.lower().endswith(".s2p"):
-            data = ingest.write_touchstone(sweep)
-        else:
-            _usage_error(f"cannot infer output format from {output!r} (.s2p or .csv)")
-    except ToolkitError as exc:
-        _fail(EXIT_ANALYSIS, exc)
+    sweep = _load_sweep(input)
+    if output.lower().endswith(".csv"):
+        which = [pair for pair in pairs if sweep.has_pair(pair)]
+        if not which:
+            _usage_error(f"none of the requested pairs present in {input}")
+        data = ingest.write_csv(sweep, which, representation=representation)
+    elif output.lower().endswith(".s2p"):
+        data = ingest.write_touchstone(sweep)
+    else:
+        _usage_error(f"cannot infer output format from {output!r} (.s2p or .csv)")
     path = state.write(output, data)
     click.echo(f"wrote {path}")
 

@@ -28,6 +28,15 @@ def synth_fixture(runner, out_dir, name="synthetic.s2p", extra=()):
     return out_dir / name
 
 
+def flag_or_config(tmp_path, command, flag, value):
+    """The arguments that give a flag (--name) or a config key (name) its value."""
+    if flag.startswith("--"):
+        return [*command, flag, value]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    return ["--config", str(cfg), *command]
+
+
 class TestWriteAtomic:
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -36,6 +45,15 @@ class TestWriteAtomic:
             _write_atomic(target, b"data")
         assert list(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
+
+    def test_out_dir_that_is_a_file_exits_2(self, runner, tmp_path):
+        # used to end in a FileExistsError traceback
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        result = run(runner, ["--out-dir", str(blocker), "synth"])
+        assert result.exit_code == 2, result.output
+        assert f"error: cannot write {blocker / 'synthetic.s2p'}: " in result.output
+        assert list(tmp_path.iterdir()) == [blocker]
 
 
 class TestSynth:
@@ -181,6 +199,30 @@ class TestCavity:
         )
         assert l_p == pytest.approx(4.28e-6, rel=0.01)
 
+    @pytest.mark.parametrize(
+        "command, synth_extra, flags",
+        [
+            ("cavity", ["--length", "58.565u", "--r", "0.6", "--alpha-db-mm", "2.0"],
+             ["--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"]),
+            ("echo-loss", [], ["--length", "130u", "--vg", "6161", "--known-r", "0.1"]),
+            ("gate", [], ["--start", "10n", "--stop", "200n"]),
+            ("convert", [], ["--output", "sweep.csv"]),
+        ],
+    )
+    def test_config_supplies_input(self, runner, tmp_path, command, synth_extra, flags):
+        path = synth_fixture(runner, tmp_path, extra=synth_extra)
+        cfg = tmp_path / "input.cfg"
+        cfg.write_text(f"input = {path}\n")
+        by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+        result = run(runner, ["--out-dir", str(by_flag), command, "--input", str(path), *flags])
+        assert result.exit_code == 0, result.output
+        result = run(runner, ["--config", str(cfg), "--out-dir", str(by_config), command, *flags])
+        assert result.exit_code == 0, result.output
+        names = sorted(p.name for p in by_flag.iterdir())
+        assert names and names == sorted(p.name for p in by_config.iterdir())
+        for name in names:
+            assert (by_flag / name).read_bytes() == (by_config / name).read_bytes()
+
     def test_bad_config_line(self, runner, tmp_path):
         path = synth_fixture(runner, tmp_path)
         cfg = tmp_path / "broken.cfg"
@@ -234,6 +276,12 @@ class TestPositiveFlags:
             (["synth"], "--f-lo", "0"),
             (["synth"], "--f-hi", "1e400"),
             (["synth", "--idt-bw", "0.2"], "--idt-center", "-3.8G"),
+            # the same checks on config values, which used to exit 3 or run
+            (["cavity", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"], "d", "-50u"),
+            (["cavity", "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40"], "vg", "0"),
+            (["echo-loss", "--vg", "6161", "--known-r", "0.1"], "length", "-130u"),
+            (["echo-loss", "--length", "130u", "--known-r", "0.1"], "vg", "NaN"),
+            (["synth"], "f_hi", "1e400"),
         ],
     )
     def test_non_positive_value_exits_2(self, runner, tmp_path, command, flag, value):
@@ -241,7 +289,7 @@ class TestPositiveFlags:
         args = list(command)
         if command[0] in ("cavity", "echo-loss"):
             args += ["--input", str(synth_fixture(runner, tmp_path / "in"))]
-        result = run(runner, ["--out-dir", str(out), *args, flag, value])
+        result = run(runner, ["--out-dir", str(out), *flag_or_config(tmp_path, args, flag, value)])
         assert result.exit_code == 2, result.output
         assert "positive finite" in result.output
         assert not out.exists()
@@ -286,12 +334,17 @@ class TestIntegerFlags:
 
 
 class TestAnalysisFlagRanges:
-    """Out-of-range analysis and simulate flags are bad usage; each used to exit 3."""
+    """Out-of-range analysis, simulate and SI flags and config values are bad usage.
+
+    Each used to exit 3, exit 0 with nan or inf output, or end in a traceback.
+    """
 
     CAVITY = ["cavity", "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"]
     ECHO = ["echo-loss", "--length", "130u", "--vg", "6161"]
     ECHO_R = [*ECHO, "--known-r", "0.1"]
     RABI = ["simulate", "rabi", "--rabi-mhz", "33.4"]
+    BUDGET = ["budget", "--power-dbm", "0", "--g", "30k", "--f0", "3.8G", "--t0", "20n"]
+    COUPLING = ["coupling", "--f-m", "3.83G"]
 
     @pytest.mark.parametrize(
         "command, flag, value, message",
@@ -314,14 +367,32 @@ class TestAnalysisFlagRanges:
             (["simulate", "odar"], "--rabi-mhz", "-1", "-1.0 is not in the range x>=0"),
             (["simulate", "sidebands"], "--mod-freq", "-1G", "is not a positive finite number"),
             (["simulate", "sidebands"], "--linewidth", "0", "is not a positive finite number"),
+            # SI flags that spell nan or inf without a suffix letter at the end
+            (BUDGET, "--g", "NaN", "'NaN' is not a finite number"),
+            (BUDGET, "--f0", "Infinity", "'Infinity' is not a finite number"),
+            ([*BUDGET, "--waist", "6.8u", "--beam-wavelength", "1.1u"], "--r", "NaN",
+             "'NaN' is not a finite number"),
+            (COUPLING, "--b-x", "NaN", "'NaN' is not a finite number"),
+            (COUPLING, "--f-m", "Infinity", "'Infinity' is not a finite number"),
+            (["gate", "--stop", "200n"], "--start", "NaN", "'NaN' is not a finite number"),
+            # config values, checked by their flags' types
+            (["echo-loss", "--vg", "6161", "--known-r", "0.1"], "length", "abc",
+             "not a number: 'abc'"),
+            (CAVITY, "alpha_db_mm", "3.2m", "'3.2m' is not a valid float"),
+            (CAVITY, "alpha_db_mm", "0", "0.0 is not in the range x>0"),
+            (["cavity", "--d", "50u", "--lambda0", "1.7u", "--vg", "6161"], "n_mirror", "40.7",
+             "'40.7' is not a valid integer"),
+            (["cavity", "--d", "50u", "--lambda0", "1.7u", "--vg", "6161"], "n_mirror", "-4",
+             "-4 is not in the range x>=1"),
+            (COUPLING, "eps_xy", "NaN", "'NaN' is not a finite number"),
         ],
     )
     def test_exits_2(self, runner, tmp_path, command, flag, value, message):
         out = tmp_path / "out"
         args = list(command)
-        if command[0] in ("cavity", "echo-loss"):
+        if command[0] in ("cavity", "echo-loss", "gate"):
             args += ["--input", str(synth_fixture(runner, tmp_path / "in"))]
-        result = run(runner, ["--out-dir", str(out), *args, flag, value])
+        result = run(runner, ["--out-dir", str(out), *flag_or_config(tmp_path, args, flag, value)])
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not out.exists()
@@ -383,7 +454,9 @@ class TestSeedAndSpectrumFlags:
         cfg.write_text(f"seed = {seed}\n")
         result = run(runner, ["--config", str(cfg), "--out-dir", str(tmp_path), *self.BUDGET])
         assert result.exit_code == 2, result.output
-        assert f"config: seed must be a nonnegative integer, got '{seed}'" in result.output
+        message = {"abc": "'abc' is not a valid integer", "1.5": "'1.5' is not a valid integer",
+                   "-3": "-3 is not in the range x>=0"}[seed]
+        assert f"Invalid value for '--seed': {message}" in result.output
 
 
 class TestSynthUsage:
@@ -587,6 +660,33 @@ class TestGateAndConvert:
                               "--output", "x.s2p"])
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            # an unknown name used to exit 3, as an analysis failure
+            ("s99", "not a two-port pair name: 's99'"),
+            ("s21,x", "not a two-port pair name: 'x'"),
+        ],
+    )
+    def test_convert_bad_pairs_exits_2(self, runner, tmp_path, pairs, message):
+        path = synth_fixture(runner, tmp_path / "in")
+        out = tmp_path / "out"
+        result = run(runner, ["--out-dir", str(out), "convert", "--input", str(path),
+                              "--output", "x.csv", "--pairs", pairs])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    def test_convert_absent_pairs_exits_2(self, runner, tmp_path):
+        path = tmp_path / "s21.csv"
+        path.write_text("freq_hz,s21_re,s21_im\n1e9,0.5,0\n2e9,0.5,0\n")
+        out = tmp_path / "out"
+        result = run(runner, ["--out-dir", str(out), "convert", "--input", str(path),
+                              "--output", "x.csv", "--pairs", "s11,s22"])
+        assert result.exit_code == 2, result.output
+        assert "none of the requested pairs present" in result.output
         assert not out.exists()
 
     def test_convert_bad_extension(self, runner, tmp_path):

@@ -38,7 +38,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-from workloads import CLI_CYCLE, CliScript, cli_args  # noqa: E402
+from workloads import CLI_CYCLE, DEVICE_CFG, CliScript, cli_args  # noqa: E402
+
+# Config files written into the fixtures, for calls that take their
+# values from a config file; a relative input is read from the fixtures,
+# where every call runs.
+CONFIGS = {
+    "siv.cfg": b"gamma_s = 14.2G\ntheta_deg = 50\neps_xy = 1.5e-10\neps_yz = 3e-11\n",
+    "echo_loss.cfg": b"length = 130u\nvg = 6161\n",
+    "cavity.cfg": DEVICE_CFG + b"input = paper.s2p\nalpha_db_mm = 2.0\n",
+}
 
 # {fixtures}, {seed} as in CLI_CYCLE; {out} is the directory holding each
 # call's output directory, so a later call can read an earlier output.
@@ -50,6 +59,12 @@ EXTRA_CALLS = [
                        "--waist", "6.8u", "--beam-wavelength", "1.1u", "--r", "2u"]),
     ("coupling_siv", ["coupling", "--f-m", "3.83G", "--eps-xy", "1.5e-10", "--eps-yz", "3e-11",
                       "--gamma-s", "14.2G", "--theta-deg", "50"]),
+    # twins of coupling_siv, CLI_CYCLE's echo_loss and its cavity without
+    # --plot, with values from a config file: each hashes as its twin does
+    ("coupling_siv_config", ["--config", "{fixtures}/siv.cfg", "coupling", "--f-m", "3.83G"]),
+    ("echo_loss_config", ["--config", "{fixtures}/echo_loss.cfg", "echo-loss",
+                          "--input", "{fixtures}/echo.s2p", "--known-r", "0.1"]),
+    ("cavity_config", ["--config", "{fixtures}/cavity.cfg", "cavity"]),
     ("echo_loss_alpha", ["echo-loss", "--input", "{fixtures}/echo.s2p", "--length", "130u",
                          "--vg", "6161", "--known-alpha", "3.2"]),
     # a narrower window on a coarser grid, and echo windows that run to
@@ -163,6 +178,8 @@ def main(argv=None) -> int:
         for name, underscore in (("echo_commented.s2p", False), ("echo_underscored.s2p", True)):
             (fixtures / name).write_bytes(commented(echo, underscore))
         (fixtures / "edge.s2p").write_bytes(edge_touchstone())
+        for name, data in CONFIGS.items():
+            (fixtures / name).write_bytes(data)
         if args.fixtures is not None:
             if not (args.fixtures.is_dir() and any(args.fixtures.iterdir())):
                 shutil.copytree(fixtures, args.fixtures, dirs_exist_ok=True)
