@@ -1,9 +1,11 @@
 """Command-line surface for the toolkit.
 
 Subcommands: cavity, echo-loss, gate, budget, coupling, simulate, synth,
-convert. Exit codes are a stable scripting contract: 0 success, 2 for
-usage/parse problems, 3 for analysis failures. All file outputs are
-written atomically and are byte-identical for fixed flags and seed.
+convert. Exit codes are a stable scripting contract with one rule: 0 on
+success, 2 for bad usage or input (a click usage error, ArgumentError or
+FormatError), 3 for any other ToolkitError, which commands raise as the
+library does. All file outputs are written atomically and are
+byte-identical for fixed flags and seed.
 
 A --config file is a set of flag defaults: each key is the default of
 the same-named flag ('-' read as '_') in every subcommand, checked by that
@@ -85,15 +87,11 @@ def _fail(code: int, message) -> "NoReturn":  # noqa: F821 - doc only
     sys.exit(code)
 
 
-def _usage_error(message):
-    _fail(EXIT_USAGE, message)
-
-
 def _read_file(path) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        _usage_error(f"cannot read {path}: {exc}")
+        raise ArgumentError(f"cannot read {path}: {exc}") from None
 
 
 def _write_atomic(path: Path, data: bytes):
@@ -118,7 +116,7 @@ class AppState:
         try:
             _write_atomic(path, data)
         except OSError as exc:
-            _usage_error(f"cannot write {path}: {exc}")
+            raise ArgumentError(f"cannot write {path}: {exc}") from None
         return path
 
     def write_sweep(self, name: str, sweep: NetworkSweep):
@@ -157,35 +155,39 @@ def _beam_factor(waist, beam_wavelength, r, z) -> float:
     if waist is None and beam_wavelength is None:
         return 1.0
     if waist is None or beam_wavelength is None:
-        _usage_error("--waist and --beam-wavelength go together")
+        raise ArgumentError("--waist and --beam-wavelength go together")
     from .spinphonon import GaussianBeam, beam_profile
     return beam_profile(GaussianBeam(w0=waist, wavelength=beam_wavelength), r, z)
 
 
 def _config_defaults(command: click.Command, mapping: dict) -> dict:
     """A default_map: the mapping for command, and again under each subcommand name."""
+    # a repeatable flag's value is its one entry: `loss = -10` is `--loss -10`
+    repeatable = {p.name for p in command.params if p.multiple}
+    own = {key: [value] if key in repeatable else value for key, value in mapping.items()}
     subcommands = getattr(command, "commands", {})
-    return {**mapping, **{name: _config_defaults(sub, mapping) for name, sub in subcommands.items()}}
+    return {**own, **{name: _config_defaults(sub, mapping) for name, sub in subcommands.items()}}
 
 
 def _load_config(ctx, param, path):
     """Make the config file's keys the defaults of the same-named flags."""
     if path is not None:
+        # eager: this runs before ToolkitGroup.invoke, which cannot see its errors
         try:
             mapping = parse_config(_read_file(path))
-        except FormatError as exc:
-            _usage_error(f"config: {exc}")
+        except ToolkitError as exc:
+            _fail(EXIT_USAGE, f"config: {exc}")
         ctx.default_map = _config_defaults(ctx.command, mapping)
 
 
 class ToolkitGroup(click.Group):
-    """A group whose subcommands' uncaught toolkit errors are analysis failures (exit 3)."""
+    """A group whose subcommands' ArgumentError and FormatError exit 2, other toolkit errors 3."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ToolkitError as exc:
-            _fail(EXIT_ANALYSIS, exc)
+            _fail(EXIT_USAGE if isinstance(exc, (ArgumentError, FormatError)) else EXIT_ANALYSIS, exc)
 
 
 @click.group(cls=ToolkitGroup)
@@ -215,7 +217,7 @@ def _load_sweep(path) -> NetworkSweep:
             return ingest.parse_csv_sweep(data)
         return ingest.parse_touchstone(data)
     except FormatError as exc:
-        _usage_error(f"{path}: {exc}")
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +286,12 @@ def cavity(state, input, d, lambda0, n_mirror, vg, alpha_db_mm, prominence, spac
 def echo_loss(state, input, length, vg, known_r, known_alpha, n_max, window, edge_fraction, oversample):
     """Extract propagation loss from the echo train of a sweep."""
     if (known_r is None) == (known_alpha is None):
-        _usage_error("supply exactly one of --known-r or --known-alpha")
+        raise ArgumentError("supply exactly one of --known-r or --known-alpha")
     from .numerics import db_convert
     from .timedomain import detect_echoes, echo_train_csv, fit_echo_decay, impulse_response, loss_model_summary
     sweep = _load_sweep(input)
     if sweep.freqs.size * oversample > MAX_POINTS:
-        _usage_error(
+        raise ArgumentError(
             f"{sweep.freqs.size} points x --oversample {oversample} exceeds "
             f"the {MAX_POINTS}-point transform limit"
         )
@@ -325,8 +327,6 @@ def echo_loss(state, input, length, vg, known_r, known_alpha, n_max, window, edg
 @pass_state
 def gate(state, input, start, stop, output):
     """Time-gate a sweep and write it back out."""
-    if stop < start:
-        _usage_error("--stop must not precede --start")
     from .timedomain import time_gate
     state.write_sweep(output, time_gate(_load_sweep(input), (start, stop)))
 
@@ -346,12 +346,9 @@ def gate(state, input, start, stop, output):
 def budget(state, power_dbm, loss, g, f0, t0, waist, beam_wavelength, r, z):
     """Phonon budget: RF power to sqrt(n) g Rabi rate."""
     from .spinphonon import budget_summary, phonon_budget, rabi_from_phonons
-    try:
-        bud = phonon_budget(power_dbm, list(loss), f0, t0)
-        u = _beam_factor(waist, beam_wavelength, r, z)
-        rabi = rabi_from_phonons(bud.n, g * u)
-    except ArgumentError as exc:
-        _usage_error(exc)
+    bud = phonon_budget(power_dbm, list(loss), f0, t0)
+    u = _beam_factor(waist, beam_wavelength, r, z)
+    rabi = rabi_from_phonons(bud.n, g * u)
     lines = budget_summary(bud)
     lines += f"g={g:.9g}\nbeam_factor={u:.9g}\nrabi={rabi:.9g}\n"
     click.echo(lines, nl=False)
@@ -383,17 +380,14 @@ def coupling(state, f_m, b_x, gamma_s, lambda_so, d_s, f_s, theta_deg,
     from .spinphonon import SivParams, StrainTensor, coupling_rate, resonance_axial_field, transverse_field
     theta = None if theta_deg is None else math.radians(theta_deg)
     siv = dict(gamma_s=gamma_s, lambda_so=lambda_so, d_s=d_s, f_s=f_s, theta=theta)
-    try:
-        # SivParams' own defaults stand in for the constants not given
-        params = SivParams(**{key: val for key, val in siv.items() if val is not None})
-        eps = StrainTensor(**strain)
-        omega_m = 2.0 * math.pi * f_m
-        b_z = resonance_axial_field(omega_m, params)
-        bx = b_x if b_x is not None else transverse_field(omega_m, params)
-        g = coupling_rate(params, bx, eps)
-        u = _beam_factor(waist, beam_wavelength, r, z)
-    except ArgumentError as exc:
-        _usage_error(exc)
+    # SivParams' own defaults stand in for the constants not given
+    params = SivParams(**{key: val for key, val in siv.items() if val is not None})
+    eps = StrainTensor(**strain)
+    omega_m = 2.0 * math.pi * f_m
+    b_z = resonance_axial_field(omega_m, params)
+    bx = b_x if b_x is not None else transverse_field(omega_m, params)
+    g = coupling_rate(params, bx, eps)
+    u = _beam_factor(waist, beam_wavelength, r, z)
     out = (
         f"b_z={b_z:.9g}\nb_x={bx:.9g}\ng={g:.9g}\n"
         f"beam_factor={u:.9g}\ng_eff={g * u:.9g}\n"
@@ -420,7 +414,7 @@ def simulate():
 def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
     """Decaying Rabi oscillation trace."""
     if noise > 0 and state.seed is None:
-        _usage_error("--noise needs --seed for reproducible output")
+        raise ArgumentError("--noise needs --seed for reproducible output")
     import numpy as np
     from . import qdyn
     tau = math.inf if decay_tau_ns is None else decay_tau_ns * 1e-9
@@ -443,7 +437,7 @@ def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
 def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
     """Swept-drive resonance spectrum at fixed pulse length."""
     if not span_mhz > 0:
-        _usage_error(f"--span-mhz {span_mhz:g} must be positive")
+        raise ArgumentError(f"--span-mhz {span_mhz:g} must be positive")
     import numpy as np
     from . import qdyn
     f_spin = f_spin_ghz * 1e9
@@ -503,15 +497,15 @@ def synth(state, t, r, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
     """Write a synthetic echo-network fixture as Touchstone or CSV."""
     idt = None
     if (idt_center is None) != (idt_bw is None):
-        _usage_error("--idt-center and --idt-bw go together")
+        raise ArgumentError("--idt-center and --idt-bw go together")
     if idt_center is not None:
         if not 0 < idt_bw < math.inf:
-            _usage_error(f"--idt-bw {idt_bw!r} is not a positive finite number")
+            raise ArgumentError(f"--idt-bw {idt_bw!r} is not a positive finite number")
         idt = (idt_center, idt_bw)
     if not f_hi > f_lo:
-        _usage_error(f"--f-hi {f_hi:g} Hz must exceed --f-lo {f_lo:g} Hz")
+        raise ArgumentError(f"--f-hi {f_hi:g} Hz must exceed --f-lo {f_lo:g} Hz")
     if noise > 0 and state.seed is None:
-        _usage_error("--noise needs --seed for reproducible output")
+        raise ArgumentError("--noise needs --seed for reproducible output")
     from .numerics import db_convert
     from .timedomain import LossModel, synthesize_echo_network
     alpha = db_convert(alpha_db_mm, "db_per_mm_to_per_m_power")
@@ -535,10 +529,7 @@ def synth(state, t, r, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
 def _pair_list(ctx, param, names):
     """--pairs as port pairs, so an unknown name is bad usage at parse time."""
     from .ingest import pair_from_name
-    try:
-        return [pair_from_name(token) for token in names.split(",")]
-    except ArgumentError as exc:
-        raise click.BadParameter(str(exc)) from None
+    return [pair_from_name(token) for token in names.split(",")]
 
 
 @main.command()
@@ -565,14 +556,13 @@ def convert(state, input, output, pairs, representation):
     if output.lower().endswith(".csv"):
         which = [pair for pair in pairs if sweep.has_pair(pair)]
         if not which:
-            _usage_error(f"none of the requested pairs present in {input}")
+            raise ArgumentError(f"none of the requested pairs present in {input}")
         data = ingest.write_csv(sweep, which, representation=representation)
     elif output.lower().endswith(".s2p"):
         data = ingest.write_touchstone(sweep)
     else:
-        _usage_error(f"cannot infer output format from {output!r} (.s2p or .csv)")
-    path = state.write(output, data)
-    click.echo(f"wrote {path}")
+        raise ArgumentError(f"cannot infer output format from {output!r} (.s2p or .csv)")
+    click.echo(f"wrote {state.write(output, data)}")
 
 
 if __name__ == "__main__":

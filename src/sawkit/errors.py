@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-Parse and argument problems are distinct from analysis failures so the
-command line layer can map them to different exit codes (2 vs 3).
+The command line's exit code follows the class: ArgumentError and
+FormatError (bad usage or input) exit 2, any other ToolkitError exits 3.
 """
 
 

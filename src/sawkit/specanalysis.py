@@ -498,8 +498,9 @@ def cavity_report(
     reflectivity and the mirror-limited Q follow. Internal Qs are derived
     from the |S11| dip under each mode when reflection data exists, the
     propagation Q is filled in when an attenuation is supplied, and the
-    finesse uses the median loaded Q. Per-mode fit failures carry the
-    mode index.
+    finesse uses the median loaded Q. Fewer than two modes is a FitError
+    and per-mode fit failures carry the mode index; modes that the
+    geometry cannot explain raise InconsistencyError.
     """
     if sweep.has_pair((2, 1)):
         y = np.abs(sweep.pair((2, 1)))
@@ -516,7 +517,7 @@ def cavity_report(
     spacing_floor = min_spacing if min_spacing is not None else 5.0 * step
     raw_peaks = find_peaks(trace, prom, spacing_floor)
     if len(raw_peaks) < 2:
-        raise ArgumentError(
+        raise FitError(
             f"found {len(raw_peaks)} peak(s); the free spectral range is a mode "
             "spacing and needs at least two modes in the sweep"
         )
@@ -530,11 +531,17 @@ def cavity_report(
             raise FitError(f"mode {i} near {raw_peaks[i]:.6g} Hz: {exc}") from exc
 
     f0s = [p.f0 for p in peaks]
-    fsr = estimate_fsr(f0s)
-    l_p = penetration_depth(fsr, geom.v_g, geom.d)
-    r_s = mirror_reflectivity(l_p, geom.lambda0)
-    qm = q_mirror(geom, l_p, r_s)
     q_loaded = [(p.f0, p.q_loaded()) for p in peaks]
+    q_med = float(np.median([q for _, q in q_loaded]))
+    # only fits and checked geometry go in: a failed precondition is an inconsistency
+    try:
+        fsr = estimate_fsr(f0s)
+        l_p = penetration_depth(fsr, geom.v_g, geom.d)
+        r_s = mirror_reflectivity(l_p, geom.lambda0)
+        qm = q_mirror(geom, l_p, r_s)
+        fin = finesse(q_med, geom.lambda0, geom.d, l_p)
+    except ArgumentError as exc:
+        raise InconsistencyError(str(exc)) from exc
 
     q_internal: List[Tuple[float, float]] = []
     if sweep.has_pair((1, 1)):
@@ -548,9 +555,6 @@ def cavity_report(
     qp = None
     if alpha_db_per_mm is not None:
         qp = q_propagation(float(np.median(f0s)), geom.v_g, alpha_db_per_mm)
-
-    q_med = float(np.median([q for _, q in q_loaded]))
-    fin = finesse(q_med, geom.lambda0, geom.d, l_p)
     return CavityReport(
         fsr=fsr,
         l_p=l_p,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     ArgumentError,
+    FitError,
     GridError,
     InconsistencyError,
     NonphysicalGrowthError,
@@ -183,8 +184,8 @@ def time_gate(sweep: NetworkSweep, gate: Tuple[float, float]) -> NetworkSweep:
     """Zero the impulse response outside [tau_start, tau_stop], per pair.
 
     No window is applied, so a full-support gate is the identity to
-    rounding. A gate interval that contains no sample yields an all-zero
-    sweep; an inverted interval is an error.
+    rounding. An inverted interval, or one that keeps no sample of the
+    time axis, is an ArgumentError.
     """
     start, stop = gate
     if stop < start:
@@ -193,6 +194,10 @@ def time_gate(sweep: NetworkSweep, gate: Tuple[float, float]) -> NetworkSweep:
     n = sweep.freqs.size
     tau = np.arange(n) / (n * df)
     keep = (tau >= start) & (tau <= stop)
+    if not keep.any():
+        raise ArgumentError(
+            f"gate [{start:.3g}, {stop:.3g}] s keeps no sample of time axis [0, {tau[-1]:.3g}] s"
+        )
     gated = {}
     for pair, s in sweep.s.items():
         h = dft(s, "inverse")
@@ -316,9 +321,9 @@ def fit_echo_decay(
             break
         usable.append(p)
     if len(usable) < 2:
-        raise ArgumentError("need at least two echoes above the noise floor")
+        raise FitError("need at least two echoes above the noise floor")
     if any(p.h_max <= 0 for p in usable):
-        raise ArgumentError("echo magnitudes must be positive to take logs")
+        raise FitError("echo magnitudes must be positive to take logs")
     ns = np.asarray([p.n for p in usable], dtype=float)
     ys = 2.0 * np.log([p.h_max for p in usable])
     b, a = np.polyfit(ns, ys, 1)

@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, output files, determinism."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from sawkit.cli import _write_atomic, main
 from sawkit.ingest import parse_csv_sweep, parse_touchstone
@@ -149,6 +152,39 @@ class TestCavity:
         )
         assert result.exit_code == 3
         assert "spectral range" in result.output
+
+    def test_saturated_mirror_is_analysis_error(self, runner, tmp_path):
+        path = synth_fixture(
+            runner,
+            tmp_path / "in",
+            extra=["--length", "58.565u", "--r", "0.6", "--alpha-db-mm", "2.0"],
+        )
+        out = tmp_path / "out"
+        result = run(
+            runner,
+            [
+                "--out-dir", str(out), "cavity",
+                "--input", str(path),
+                "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "400000", "--vg", "6161",
+            ],
+        )
+        assert result.exit_code == 3, result.output
+        assert "saturates tanh" in result.output
+        assert not out.exists()
+
+    def test_config_loss_key_ignored(self, runner, tmp_path):
+        path = synth_fixture(
+            runner,
+            tmp_path,
+            extra=["--length", "58.565u", "--r", "0.6", "--alpha-db-mm", "2.0"],
+        )
+        cfg = tmp_path / "device.cfg"
+        cfg.write_text("d = 50u\nlambda0 = 1.7u\nn_mirror = 40\nvg = 6161\nloss = -10\n")
+        result = run(
+            runner,
+            ["--config", str(cfg), "--out-dir", str(tmp_path), "cavity", "--input", str(path)],
+        )
+        assert result.exit_code == 0, result.output
 
     def test_missing_geometry(self, runner, tmp_path):
         path = synth_fixture(runner, tmp_path)
@@ -337,7 +373,14 @@ class TestAnalysisFlagRanges:
     """Out-of-range analysis, simulate and SI flags and config values are bad usage.
 
     Each used to exit 3, exit 0 with nan or inf output, or end in a traceback.
+    So did an --input sweep too short for the command or without the pair it reads.
     """
+
+    # sweeps that an --input case names, written under that name
+    SWEEPS = {
+        "s11_only.csv": "freq_hz,s11_re,s11_im\n1e9,0.5,0\n2e9,0.4,0\n3e9,0.5,0\n",
+        "two_points.csv": "freq_hz,s21_re,s21_im\n1e9,0.5,0\n2e9,0.25,0\n",
+    }
 
     CAVITY = ["cavity", "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"]
     ECHO = ["echo-loss", "--length", "130u", "--vg", "6161"]
@@ -385,6 +428,13 @@ class TestAnalysisFlagRanges:
             (["cavity", "--d", "50u", "--lambda0", "1.7u", "--vg", "6161"], "n_mirror", "-4",
              "-4 is not in the range x>=1"),
             (COUPLING, "eps_xy", "NaN", "'NaN' is not a finite number"),
+            # a round trip shorter than two time steps of the transform
+            (["echo-loss", "--vg", "6161", "--known-r", "0.1"], "--length", "1n",
+             "needs a time step of at most half its length"),
+            (ECHO_R, "--input", "s11_only.csv", "s21 not present in sweep (has s11)"),
+            (CAVITY, "--input", "two_points.csv", "peak finding needs at least 3 samples"),
+            # a repeatable flag's config value is its one entry
+            (BUDGET, "loss", "abc", "Invalid value for '--loss': 'abc' is not a valid float"),
         ],
     )
     def test_exits_2(self, runner, tmp_path, command, flag, value, message):
@@ -392,6 +442,9 @@ class TestAnalysisFlagRanges:
         args = list(command)
         if command[0] in ("cavity", "echo-loss", "gate"):
             args += ["--input", str(synth_fixture(runner, tmp_path / "in"))]
+        if value in self.SWEEPS:
+            (tmp_path / value).write_text(self.SWEEPS[value])
+            value = str(tmp_path / value)
         result = run(runner, ["--out-dir", str(out), *flag_or_config(tmp_path, args, flag, value)])
         assert result.exit_code == 2, result.output
         assert message in result.output
@@ -416,6 +469,7 @@ class TestSeedAndSpectrumFlags:
             (["simulate", "odar", "--f-spin-ghz", "0"], "0.0 is not in the range x>0"),
             (["simulate", "odar", "--span-mhz", "0"], "--span-mhz 0 must be positive"),
             (["simulate", "odar", "--span-mhz", "-5"], "--span-mhz -5 must be positive"),
+            (["--config", "no-such-dir/run.cfg", *BUDGET], "error: config: cannot read"),
         ],
     )
     def test_exits_2(self, runner, tmp_path, args, message):
@@ -603,17 +657,29 @@ class TestGateAndConvert:
         sweep = parse_touchstone((tmp_path / "gated.s2p").read_bytes())
         assert len(sweep.freqs) == 4001
 
-    def test_gate_inverted_window(self, runner, tmp_path):
-        path = synth_fixture(runner, tmp_path)
+    @pytest.mark.parametrize(
+        "start, stop, message",
+        [
+            ("500n", "10n", "gate stop precedes gate start"),
+            # before the time axis: used to write an all-zero sweep and exit 0
+            ("-1", "-0.5", "gate [-1, -0.5] s keeps no sample of time axis [0, 2e-06] s"),
+        ],
+        ids=["inverted", "before_time_axis"],
+    )
+    def test_gate_inverted_window(self, runner, tmp_path, start, stop, message):
+        path = synth_fixture(runner, tmp_path / "in")
+        out = tmp_path / "out"
         result = run(
             runner,
             [
-                "--out-dir", str(tmp_path), "gate",
+                "--out-dir", str(out), "gate",
                 "--input", str(path),
-                "--start", "500n", "--stop", "10n",
+                "--start", start, "--stop", stop,
             ],
         )
         assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
 
     def test_convert_round_trip(self, runner, tmp_path):
         path = synth_fixture(runner, tmp_path)
@@ -737,6 +803,16 @@ class TestBudgetAndCoupling:
             values[key.strip()] = val.strip()
         assert float(values["beam_factor"]) == pytest.approx(0.163, rel=0.01)
         assert float(values["rabi"]) == pytest.approx(8.47e9 * 0.1633, rel=0.02)
+
+    def test_config_loss_matches_flag(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("loss = -10\n")
+        flags = ["--power-dbm", "0", "--g", "30k", "--f0", "3.8G", "--t0", "20n"]
+        by_flag = run(runner, ["--out-dir", str(tmp_path), "budget", "--loss", "-10", *flags])
+        by_config = run(runner, ["--config", str(cfg), "--out-dir", str(tmp_path), "budget", *flags])
+        assert by_flag.exit_code == 0, by_flag.output
+        assert by_config.exit_code == 0, by_config.output
+        assert by_config.stdout_bytes == by_flag.stdout_bytes
 
     def test_budget_gain_entry_rejected(self, runner, tmp_path):
         result = run(
@@ -900,3 +976,138 @@ class TestSimulate:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not out.exists()
+
+
+# Value pools for the exit-contract fuzz: bad and edge-case spellings next
+# to working ones. Sizes stay small (points <= 4096, oversample <= 8,
+# n-max <= 16) so that no example allocates much.
+SI_POOL = ["nan", "Infinity", "-inf", "1e400", "-1", "0", "1n", "10n", "200n", "1.7u", "50u",
+           "58.565u", "130u", "1", "6161", "3.83G", "abc", "3x", ""]
+FLOAT_POOL = ["nan", "inf", "1e400", "-1", "0", "0.1", "0.5", "1", "2", "25", "-25", "abc", ""]
+INT_POOL = ["-1", "0", "1", "2", "10", "40", "400000", "1.5", "abc"]
+POINTS_POOL = ["-1", "0", "1", "2", "16", "401", "4096", "abc"]
+INPUT_POOL = ["paper.s2p", "two_points.csv", "s11_only.csv", "bad_line.s2p", "absent.s2p"]
+
+# command: (a working call's flags, the pool each flag may draw from)
+FUZZ_COMMANDS = {
+    "cavity": (
+        {"--input": "paper.s2p", "--d": "50u", "--lambda0": "1.7u", "--n-mirror": "40",
+         "--vg": "6161"},
+        {"--input": INPUT_POOL, "--d": SI_POOL, "--lambda0": SI_POOL, "--n-mirror": INT_POOL,
+         "--vg": SI_POOL, "--alpha-db-mm": FLOAT_POOL, "--prominence": FLOAT_POOL,
+         "--spacing": SI_POOL, "--coupling": ["overcoupled", "bogus"]},
+    ),
+    "echo-loss": (
+        {"--input": "paper.s2p", "--length": "58.565u", "--vg": "6161", "--known-r": "0.6"},
+        {"--input": INPUT_POOL, "--length": SI_POOL, "--vg": SI_POOL, "--known-r": FLOAT_POOL,
+         "--known-alpha": FLOAT_POOL, "--n-max": ["-1", "0", "1", "4", "16"],
+         "--window": ["none", "bogus"], "--edge-fraction": FLOAT_POOL,
+         "--oversample": ["-1", "0", "1", "2", "8"]},
+    ),
+    "gate": (
+        {"--input": "paper.s2p", "--start": "10n", "--stop": "200n"},
+        {"--input": INPUT_POOL, "--start": SI_POOL, "--stop": SI_POOL,
+         "--output": ["gated.csv", "gated.txt"]},
+    ),
+    "convert": (
+        {"--input": "paper.s2p", "--output": "sweep.csv"},
+        {"--input": INPUT_POOL, "--output": ["sweep.s2p", "sweep.json"],
+         "--pairs": ["s21", "s11,s22", "s99", ""], "--representation": ["db_phase", "bogus"]},
+    ),
+    "budget": (
+        {"--power-dbm": "0", "--loss": "-10", "--g": "30k", "--f0": "3.8G", "--t0": "20n"},
+        {"--power-dbm": FLOAT_POOL, "--loss": FLOAT_POOL, "--g": SI_POOL, "--f0": SI_POOL,
+         "--t0": SI_POOL, "--waist": SI_POOL, "--beam-wavelength": SI_POOL, "--r": SI_POOL,
+         "--z": SI_POOL},
+    ),
+    "coupling": (
+        {"--f-m": "3.83G"},
+        {"--f-m": SI_POOL, "--b-x": SI_POOL, "--eps-xx": SI_POOL, "--eps-yz": SI_POOL,
+         "--gamma-s": SI_POOL, "--lambda-so": SI_POOL, "--d-s": SI_POOL, "--f-s": SI_POOL,
+         "--theta-deg": SI_POOL, "--waist": SI_POOL, "--beam-wavelength": SI_POOL},
+    ),
+    "simulate rabi": (
+        {"--rabi-mhz": "33.4"},
+        {"--rabi-mhz": FLOAT_POOL, "--decay-tau-ns": FLOAT_POOL, "--t-max-ns": FLOAT_POOL,
+         "--points": POINTS_POOL, "--noise": FLOAT_POOL},
+    ),
+    "simulate odar": (
+        {},
+        {"--rabi-mhz": FLOAT_POOL, "--f-spin-ghz": FLOAT_POOL, "--pulse-ns": FLOAT_POOL,
+         "--span-mhz": FLOAT_POOL, "--points": POINTS_POOL},
+    ),
+    "simulate sidebands": (
+        {},
+        {"--carrier": SI_POOL, "--mod-freq": SI_POOL, "--mod-index": FLOAT_POOL,
+         "--linewidth": SI_POOL, "--orders": INT_POOL, "--points": POINTS_POOL},
+    ),
+    "synth": (
+        {"--n-points": "401"},
+        {"--t": FLOAT_POOL, "--r": FLOAT_POOL, "--alpha-db-mm": FLOAT_POOL, "--length": SI_POOL,
+         "--vg": SI_POOL, "--f-lo": SI_POOL, "--f-hi": SI_POOL, "--n-points": POINTS_POOL,
+         "--crosstalk": FLOAT_POOL, "--idt-center": SI_POOL, "--idt-bw": FLOAT_POOL,
+         "--noise": FLOAT_POOL, "--name": ["x.csv"]},
+    ),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """A working call with up to two flag values drawn from the pools, plus group flags."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    base, pools = FUZZ_COMMANDS[command]
+    values = dict(base)
+    for flag in draw(st.lists(st.sampled_from(sorted(pools)), max_size=2, unique=True)):
+        values[flag] = draw(st.sampled_from(pools[flag]))
+    group = []
+    # mostly valid group flags, so that most examples reach the command itself
+    config = draw(st.sampled_from([None] * 5 + ["device.cfg", "broken.cfg", "absent.cfg"]))
+    if config is not None:
+        group += ["--config", config]
+    seed = draw(st.sampled_from([None] * 4 + ["1"] * 4 + ["-1", "x"]))
+    if seed is not None:
+        group += ["--seed", seed]
+    if draw(st.booleans()):
+        group.append("--plot")
+    return [*group, *command.split(), *(a for item in values.items() for a in item)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small paper-cavity synth fixture, the short and partial sweeps, and configs."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    result = CliRunner().invoke(
+        main,
+        ["--out-dir", str(root), "synth", "--name", "paper.s2p", "--n-points", "1001",
+         "--length", "58.565u", "--r", "0.6", "--alpha-db-mm", "2.0"],
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0, result.output
+    for name, text in TestAnalysisFlagRanges.SWEEPS.items():
+        (root / name).write_text(text)
+    (root / "bad_line.s2p").write_text("# GHZ S RI R 50\n1 0 0 0 0 0 0 0 0\n2 0 0 zz 0 0 0 0 0\n")
+    (root / "device.cfg").write_text("d = 50u\nlambda0 = 1.7u\nn_mirror = 40\nvg = 6161\nloss = -3\n")
+    (root / "broken.cfg").write_text("d 50u\n")
+    return root
+
+
+class TestExitContract:
+    """Every call exits 0, 2 or 3 without a traceback, and a failed call writes nothing."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(args=cli_calls())
+    def test_any_call_keeps_the_contract(self, fuzz_inputs, args):
+        names = set(INPUT_POOL) | {"device.cfg", "broken.cfg", "absent.cfg"}
+        args = [str(fuzz_inputs / a) if a in names else a for a in args]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            result = CliRunner().invoke(main, ["--out-dir", str(out), *args])
+            written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert result.exit_code in (0, 2, 3), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            repr(result.exception)
+        )
+        assert not [name for name in written if ".tmp" in name], written
+        if result.exit_code != 0:
+            assert written == [], (result.output, written)
+            assert result.stdout == "", result.output

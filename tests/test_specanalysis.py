@@ -468,7 +468,7 @@ class TestCavityReport:
     def test_single_peak_mentions_fsr(self):
         freqs = np.linspace(3.7e9, 3.9e9, 2001)
         y = lorentz(freqs, 3.81e9, 1.8e6, 1.0)
-        with pytest.raises(ArgumentError, match="spectral range"):
+        with pytest.raises(FitError, match="spectral range"):
             cavity_report(make_sweep((2, 1), y, freqs), GEOM)
 
     def test_no_s_parameters(self):

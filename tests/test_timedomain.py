@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sawkit.errors import (
     ArgumentError,
+    FitError,
     GridError,
     InconsistencyError,
     NonphysicalGrowthError,
@@ -140,6 +141,17 @@ class TestTimeGate:
     def test_inverted_gate_rejected(self):
         with pytest.raises(ArgumentError):
             time_gate(flat_sweep(), (2e-8, 1e-8))
+
+    @pytest.mark.parametrize("where", ["before", "after", "between"])
+    def test_empty_gate_rejected(self, where):
+        # windows before the time axis, past its end, and between two of its samples
+        sweep = flat_sweep()
+        n = len(sweep.freqs)
+        dtau = 1.0 / (n * (sweep.freqs[1] - sweep.freqs[0]))
+        gate = {"before": (-1.0, -0.5), "after": (n * dtau, 1.0),
+                "between": (10.25 * dtau, 10.75 * dtau)}[where]
+        with pytest.raises(ArgumentError, match="keeps no sample of time axis"):
+            time_gate(sweep, gate)
 
     def test_crosstalk_removal(self):
         # Arrivals sit exactly on DFT bins: tau1 = 42 bins with N = 2001,
@@ -479,7 +491,7 @@ class TestFitEchoDecay:
 
     def test_needs_two_echoes(self):
         train = EchoTrain(peaks=[EchoPeak(0, 1e-8, 0.5)], round_trip=2e-8)
-        with pytest.raises(ArgumentError):
+        with pytest.raises(FitError):
             fit_echo_decay(train, 130e-6, known_r=0.1)
 
     def test_flagged_suffix_ignored(self):
