@@ -253,6 +253,8 @@ def cavity(state, input, d, lambda0, n_mirror, vg, alpha_db_mm, prominence, spac
         min_spacing=spacing,
         convention=coupling,
     )
+    for f, reason in report.rejected:
+        click.echo(f"warning: candidate peak near {f:.6g} Hz left out: {reason}", err=True)
     state.write("cavity_modes.csv", report_csv(report))
     summary = report_summary(report)
     state.write("cavity_summary.txt", summary.encode())
@@ -404,6 +406,16 @@ def simulate():
     """Generate model traces and spectra as CSV (and SVG with --plot)."""
 
 
+def _grid(lo: float, hi: float, points: int, flags: str):
+    """np.linspace(lo, hi, points), checked before numpy can warn; errors name the flags."""
+    import numpy as np
+    if math.isfinite(hi - lo):
+        grid = np.linspace(lo, hi, points)
+        if (grid[1:] > grid[:-1]).all():
+            return grid
+    raise ArgumentError(f"{flags} give no strictly increasing finite grid from {lo:g} to {hi:g}")
+
+
 @simulate.command("rabi")
 @click.option("--rabi-mhz", type=FiniteFloat(min=0), required=True, help="Rabi frequency in MHz.")
 @click.option("--decay-tau-ns", type=FiniteFloat(min=0, min_open=True), default=None, help="Decay time in ns (default: none).")
@@ -415,10 +427,9 @@ def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
     """Decaying Rabi oscillation trace."""
     if noise > 0 and state.seed is None:
         raise ArgumentError("--noise needs --seed for reproducible output")
-    import numpy as np
     from . import qdyn
     tau = math.inf if decay_tau_ns is None else decay_tau_ns * 1e-9
-    t = np.linspace(0.0, t_max_ns * 1e-9, points)
+    t = _grid(0.0, t_max_ns * 1e-9, points, "--t-max-ns and --points")
     trace = qdyn.simulate_rabi_trace(rabi_mhz * 1e6, tau, t, noise_sigma=noise, seed=state.seed)
     state.write("rabi_trace.csv", qdyn.series_csv(trace, "t_s", "population"))
     state.maybe_plot(
@@ -438,11 +449,10 @@ def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
     """Swept-drive resonance spectrum at fixed pulse length."""
     if not span_mhz > 0:
         raise ArgumentError(f"--span-mhz {span_mhz:g} must be positive")
-    import numpy as np
     from . import qdyn
     f_spin = f_spin_ghz * 1e9
     half = span_mhz * 1e6 / 2.0
-    grid = np.linspace(f_spin - half, f_spin + half, points)
+    grid = _grid(f_spin - half, f_spin + half, points, "--f-spin-ghz, --span-mhz and --points")
     spec = qdyn.odar_spectrum(rabi_mhz * 1e6, f_spin, pulse_ns * 1e-9, grid)
     state.write("odar_spectrum.csv", qdyn.series_csv(spec, "f_hz", "population"))
     state.maybe_plot(
@@ -461,10 +471,11 @@ def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
 @pass_state
 def simulate_sidebands(state, carrier, mod_freq, mod_index, linewidth, orders, points):
     """Bessel-weighted sideband comb around a carrier."""
-    import numpy as np
     from . import qdyn
     span = (orders + 1) * mod_freq
-    grid = np.linspace(carrier - span, carrier + span, points)
+    grid = _grid(
+        carrier - span, carrier + span, points, "--carrier, --mod-freq, --orders and --points"
+    )
     spec = qdyn.sideband_spectrum(carrier, mod_freq, mod_index, linewidth, orders, grid)
     state.write("sideband_spectrum.csv", qdyn.series_csv(spec, "f_hz", "intensity"))
     state.maybe_plot(

@@ -384,8 +384,7 @@ def parse_csv_sweep(data, column_spec: Optional[Dict[str, str]] = None) -> Netwo
     # without a quote or a line as long as the field size limit, csv.reader
     # cannot fail and splits at every comma, so the data rows may bypass it
     plain = '"' not in text and max(map(len, lines)) < csv.field_size_limit()
-    rows = csv_rows(lines[:1] if plain else lines)
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in csv_rows(lines[:1] if plain else lines)[0]]
     index = {name: i for i, name in enumerate(header)}
 
     def column_for(role, required=False):
@@ -423,7 +422,17 @@ def parse_csv_sweep(data, column_spec: Optional[Dict[str, str]] = None) -> Netwo
 
     def data_rows():
         cells = operator.itemgetter(*columns)
-        for lineno, row in enumerate((csv_rows(lines) if plain else rows)[1:], start=2):
+        # the file's line number of each line kept above; a quoted field may
+        # span lines, so a row starts after the kept lines its reader has read
+        numbers = [
+            n for n, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.lstrip().startswith("#")
+        ]
+        reader = csv.reader(lines)  # csv_rows read these above, or plain ones cannot fail
+        next(reader)
+        start = reader.line_num
+        for row in reader:
+            lineno, start = numbers[start], reader.line_num
             if not any(map(str.strip, row)):
                 continue
             if len(row) != len(header):

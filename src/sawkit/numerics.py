@@ -2,7 +2,8 @@
 
 Everything here is a pure function of its inputs. The fitter is a damped
 Gauss-Newton loop sized for the small, smooth models used elsewhere in the
-package; the shipped models carry analytic Jacobians.
+package. It has no finite-difference fallback: every fit passes its
+model's analytic Jacobian, and SHIPPED_MODELS pairs each model with one.
 """
 
 from __future__ import annotations
@@ -102,42 +103,19 @@ def seeded_rng(seed) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Least squares
 
-
-def _fd_jacobian(model, x, params, step_scale=6.055e-6):
-    """Central-difference Jacobian fallback for user-supplied models.
-
-    Steps scale with max(1, |p|), so rescale tiny-magnitude parameters or
-    pass an analytic Jacobian when that matters.
-    """
-    p = np.asarray(params, dtype=float)
-    cols = []
-    for i in range(p.size):
-        h = step_scale * max(1.0, abs(p[i]))
-        up = p.copy()
-        dn = p.copy()
-        up[i] += h
-        dn[i] -= h
-        cols.append((np.asarray(model(x, up), float) - np.asarray(model(x, dn), float)) / (2 * h))
-    return np.column_stack(cols)
+# Gauss-Newton steps a fit may take before it is reported as not converged.
+MAX_ITERATIONS = 200
 
 
 def _normalize_bounds(bounds, n):
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
     if bounds is None:
-        return lo, hi
+        return np.full(n, -np.inf), np.full(n, np.inf)
     if len(bounds) != n:
         raise ArgumentError("bounds length must match parameter count")
-    for i, pair in enumerate(bounds):
-        if pair is None:
-            continue
-        a, b = pair
-        if a is not None:
-            lo[i] = a
-        if b is not None:
-            hi[i] = b
-        if lo[i] > hi[i]:
-            raise ArgumentError(f"bound {i} has lower > upper")
+    lo = np.array([-np.inf if a is None else a for a, _ in bounds], dtype=float)
+    hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
+    if np.any(lo > hi):
+        raise ArgumentError(f"bound {int(np.argmax(lo > hi))} has lower > upper")
     return lo, hi
 
 
@@ -146,16 +124,19 @@ def least_squares(
     data: Series,
     initial_params: Sequence[float],
     bounds=None,
-    max_iterations: int = 200,
-    jacobian: Optional[Callable] = None,
+    *,
+    jacobian: Callable,
 ) -> FitResult:
     """Minimize sum of squared residuals of ``model(x, params) - y``.
+
+    jacobian(x, params) is the model's analytic (len(x), n_params) Jacobian.
 
     Damped Gauss-Newton: the normal matrix is damped with lam * diag(JtJ),
     lam divided by 10 on an accepted step and multiplied by 10 on a
     rejected one. Convergence is declared on relative step < 1e-10 or
-    relative residual-norm change < 1e-12. Bounds, when given, are
-    enforced by clipping trial steps into the box.
+    relative residual-norm change < 1e-12 within MAX_ITERATIONS steps.
+    Bounds, when given, are one (lower, upper) pair per parameter, None
+    for an open side, enforced by clipping trial steps into the box.
 
     Returns a FitResult; ``converged=False`` with a diagnostic message is
     returned (not raised) when the normal equations go singular or the
@@ -175,7 +156,6 @@ def least_squares(
         raise ArgumentError("data must have at least as many points as parameters")
     lo, hi = _normalize_bounds(bounds, p.size)
     p = np.clip(p, lo, hi)
-    jac = jacobian if jacobian is not None else (lambda xv, pv: _fd_jacobian(model, xv, pv))
 
     def residuals(pv):
         f = np.asarray(model(x, pv), dtype=float)
@@ -193,8 +173,8 @@ def least_squares(
     iterations = 0
     tiny = np.finfo(float).tiny
 
-    for iterations in range(1, max_iterations + 1):
-        J = np.asarray(jac(x, p), dtype=float)
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        J = np.asarray(jacobian(x, p), dtype=float)
         if J.shape != (y.size, p.size):
             raise FitError("jacobian shape does not match data and parameters")
         if not np.all(np.isfinite(J)):
@@ -243,7 +223,7 @@ def least_squares(
     covariance = None
     if converged:
         try:
-            J = np.asarray(jac(x, p), dtype=float)
+            J = np.asarray(jacobian(x, p), dtype=float)
             A = J.T @ J
             dof = y.size - p.size
             if dof > 0:

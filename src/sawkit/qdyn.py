@@ -143,40 +143,26 @@ def _initial_rabi(t, y):
     return f0
 
 
-def fit_rabi(trace: Series, convention: str = "cyclic") -> RabiFit:
+def fit_rabi(trace: Series) -> RabiFit:
     """Fit offset - amplitude e^(-t/tau) cos(2 pi f t) to a trace.
 
     The frequency is initialized from the dominant DFT bin, so the trace
     should cover at least two oscillation periods on a uniform time
-    grid. The returned rabi follows the cyclic convention by default;
-    convention='angular' multiplies it by 2 pi.
+    grid. The returned rabi is the cyclic frequency f in Hz.
     """
-    if convention not in ("cyclic", "angular"):
-        raise ArgumentError(f"unknown rabi convention {convention!r}")
     t = trace.x
     y = np.asarray(trace.y, dtype=float)
     f0 = _initial_rabi(t, y)
     span = float(t[-1] - t[0])
     init = (f0, span / 2.0, float(np.ptp(y)) / 2.0, float(y.mean()))
     dt = numerics.grid_step(t)
-    bounds = [
-        (f0 / 4.0, f0 * 4.0),
-        (dt * 1e-3, span * 1e6),
-        (None, None),
-        (None, None),
-    ]
-    result = least_squares(
-        numerics.decaying_cosine,
-        Series(t, y),
-        init,
-        bounds=bounds,
-        jacobian=numerics.decaying_cosine_jacobian,
-    )
+    bounds = [(f0 / 4.0, f0 * 4.0), (dt * 1e-3, span * 1e6), (None, None), (None, None)]
+    model, jacobian = numerics.SHIPPED_MODELS["decaying_cosine"]
+    result = least_squares(model, Series(t, y), init, bounds=bounds, jacobian=jacobian)
     if not result.converged:
         raise FitError(f"rabi fit did not converge: {result.message}", result)
     f, tau, amplitude, offset = (float(v) for v in result.params)
-    rabi = f * 2.0 * math.pi if convention == "angular" else f
-    return RabiFit(rabi=rabi, decay_tau=tau, amplitude=amplitude, offset=offset, result=result)
+    return RabiFit(rabi=f, decay_tau=tau, amplitude=amplitude, offset=offset, result=result)
 
 
 def odar_spectrum(rabi: float, f_spin: float, pulse_len: float, f_grid) -> Series:

@@ -83,7 +83,10 @@ class CavityGeometry:
 
 @dataclass
 class CavityReport:
-    """Derived cavity quantities; fields stay None when inputs were absent."""
+    """Derived cavity quantities; fields stay None when inputs were absent.
+
+    rejected holds (frequency, reason) for each candidate peak left unfitted.
+    """
 
     fsr: Optional[float] = None
     l_p: Optional[float] = None
@@ -93,6 +96,7 @@ class CavityReport:
     q_mirror: Optional[float] = None
     q_propagation: Optional[float] = None
     finesse: Optional[float] = None
+    rejected: List[Tuple[float, str]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.r_s is not None and not 0 < self.r_s < 1:
@@ -224,7 +228,11 @@ def _window_slice(trace: Series, window, min_samples: int):
     y = trace.y
     if np.iscomplexobj(y):
         y = np.abs(y)
-    return trace.x[mask], np.asarray(y, float)[mask]
+    x, y = trace.x[mask], np.asarray(y, float)[mask]
+    scale = max(abs(float(np.median(y))), float(np.ptp(y)), 1.0)
+    if np.ptp(y) <= 1e-14 * scale:
+        raise FitError("degenerate fit: trace is flat in the window")
+    return x, y
 
 
 def _half_height_width(x, y, i_max, offset, amplitude):
@@ -241,42 +249,35 @@ def _half_height_width(x, y, i_max, offset, amplitude):
     return width
 
 
-def fit_lorentzian(trace: Series, window: Tuple[float, float], init=None) -> LorentzianPeak:
+def _fit_peaks(name: str, x, y, window, init) -> np.ndarray:
+    """Fitted params of SHIPPED_MODELS[name], peaks on one offset, in a window.
+
+    Each f0 stays in the window and each fwhm in [step/1000, 10 span]. A fit
+    that does not converge raises FitError with the FitResult attached.
+    """
+    step = float(np.min(np.diff(x)))
+    peak = [(window[0], window[1]), (step * 1e-3, (x[-1] - x[0]) * 10.0), (None, None)]
+    bounds = peak * (len(init) // 3) + [(None, None)]
+    model, jacobian = numerics.SHIPPED_MODELS[name]
+    result = least_squares(model, Series(x, y), init, bounds=bounds, jacobian=jacobian)
+    if not result.converged:
+        raise FitError(f"{name.replace('_', ' ')} fit did not converge: {result.message}", result)
+    return result.params
+
+
+def fit_lorentzian(trace: Series, window: Tuple[float, float]) -> LorentzianPeak:
     """Fit offset + amplitude (fwhm/2)² / ((f-f0)² + (fwhm/2)²) in a window.
 
-    init, when given, is a (f0, fwhm, amplitude, offset) tuple; otherwise
-    guesses come from the window itself (argmax, median offset, width at
-    half prominence). Raises FitError on degenerate or non-converged fits
-    with the FitResult attached.
+    The initial guess comes from the window itself (argmax, median
+    offset, width at half prominence). Raises FitError on degenerate or
+    non-converged fits with the FitResult attached.
     """
     x, y = _window_slice(trace, window, 8)
-    span = x[-1] - x[0]
-    scale = max(abs(float(np.median(y))), float(np.ptp(y)), 1.0)
-    if np.ptp(y) <= 1e-14 * scale:
-        raise FitError("degenerate fit: trace is flat in the window")
-    if init is None:
-        i_max = int(np.argmax(y))
-        off0 = float(np.median(y))
-        amp0 = float(y[i_max] - off0)
-        w0 = _half_height_width(x, y, i_max, off0, amp0)
-        init = (float(x[i_max]), w0, amp0, off0)
-    step = float(np.min(np.diff(x)))
-    bounds = [
-        (window[0], window[1]),
-        (step * 1e-3, span * 10.0),
-        (None, None),
-        (None, None),
-    ]
-    result = least_squares(
-        numerics.lorentzian,
-        Series(x, y),
-        init,
-        bounds=bounds,
-        jacobian=numerics.lorentzian_jacobian,
-    )
-    if not result.converged:
-        raise FitError(f"lorentzian fit did not converge: {result.message}", result)
-    f0, fwhm, amplitude, offset = result.params
+    i_max = int(np.argmax(y))
+    off0 = float(np.median(y))
+    amp0 = float(y[i_max] - off0)
+    init = (float(x[i_max]), _half_height_width(x, y, i_max, off0, amp0), amp0, off0)
+    f0, fwhm, amplitude, offset = _fit_peaks("lorentzian", x, y, window, init)
     return LorentzianPeak(float(f0), float(fwhm), float(amplitude), float(offset))
 
 
@@ -287,10 +288,6 @@ def fit_double_lorentzian(trace: Series, window: Tuple[float, float]) -> DoubleL
     the other, which is what single-peak data produces.
     """
     x, y = _window_slice(trace, window, 16)
-    span = x[-1] - x[0]
-    scale = max(abs(float(np.median(y))), float(np.ptp(y)), 1.0)
-    if np.ptp(y) <= 1e-14 * scale:
-        raise FitError("degenerate fit: trace is flat in the window")
     off0 = float(np.median(y))
     idx = _prominent_peaks(y, 0.05 * np.ptp(y))
     idx = sorted(idx, key=lambda i: -y[i])[:2]
@@ -307,26 +304,10 @@ def fit_double_lorentzian(trace: Series, window: Tuple[float, float]) -> DoubleL
         i1 = idx[0]
         a1 = float(y[i1] - off0)
         w1 = _half_height_width(x, y, i1, off0, a1)
-        f2 = float(x[i1]) + span / 4.0
+        f2 = float(x[i1]) + (x[-1] - x[0]) / 4.0
         f2 = min(max(f2, float(x[0])), float(x[-1]))
         init = (float(x[i1]), w1, a1, f2, w1, a1 / 100.0, off0)
-    step = float(np.min(np.diff(x)))
-    wb = (step * 1e-3, span * 10.0)
-    bounds = [
-        (window[0], window[1]), wb, (None, None),
-        (window[0], window[1]), wb, (None, None),
-        (None, None),
-    ]
-    result = least_squares(
-        numerics.double_lorentzian,
-        Series(x, y),
-        init,
-        bounds=bounds,
-        jacobian=numerics.double_lorentzian_jacobian,
-    )
-    if not result.converged:
-        raise FitError(f"double lorentzian fit did not converge: {result.message}", result)
-    f1, w1, a1, f2, w2, a2, off = result.params
+    f1, w1, a1, f2, w2, a2, off = _fit_peaks("double_lorentzian", x, y, window, init)
     first = LorentzianPeak(float(f1), float(w1), float(a1), float(off))
     second = LorentzianPeak(float(f2), float(w2), float(a2), float(off))
     if second.f0 < first.f0:
@@ -498,10 +479,15 @@ def cavity_report(
     reflectivity and the mirror-limited Q follow. Internal Qs are derived
     from the |S11| dip under each mode when reflection data exists, the
     propagation Q is filled in when an attenuation is supplied, and the
-    finesse uses the median loaded Q. Fewer than two modes is a FitError
-    and per-mode fit failures carry the mode index; modes that the
-    geometry cannot explain raise InconsistencyError.
+    finesse uses the median loaded Q. A candidate whose fit fails is left
+    out and listed in `rejected`; fewer than two candidates or fitted
+    modes is a FitError, a sweep not starting above 0 Hz an ArgumentError,
+    and modes that the geometry cannot explain raise InconsistencyError.
     """
+    if not sweep.freqs[0] > 0:
+        raise ArgumentError(
+            f"cavity frequencies must be positive; the sweep starts at {sweep.freqs[0]:.6g} Hz"
+        )
     if sweep.has_pair((2, 1)):
         y = np.abs(sweep.pair((2, 1)))
         trace = Series(sweep.freqs, y)
@@ -524,11 +510,17 @@ def cavity_report(
     raw_spacing = float(np.median(np.diff(raw_peaks)))
 
     peaks: List[LorentzianPeak] = []
-    for i, window in enumerate(_peak_windows(sweep.freqs, raw_peaks, raw_spacing)):
+    rejected: List[Tuple[float, str]] = []
+    for f, window in zip(raw_peaks, _peak_windows(sweep.freqs, raw_peaks, raw_spacing)):
         try:
             peaks.append(fit_lorentzian(trace, window))
         except (FitError, ArgumentError) as exc:
-            raise FitError(f"mode {i} near {raw_peaks[i]:.6g} Hz: {exc}") from exc
+            rejected.append((f, str(exc)))
+    if len(peaks) < 2:
+        raise FitError(
+            f"{len(peaks)} of {len(raw_peaks)} peaks fitted; the free spectral range "
+            "needs at least two fitted modes"
+        )
 
     f0s = [p.f0 for p in peaks]
     q_loaded = [(p.f0, p.q_loaded()) for p in peaks]
@@ -564,6 +556,7 @@ def cavity_report(
         q_mirror=qm,
         q_propagation=qp,
         finesse=fin,
+        rejected=rejected,
     )
 
 

@@ -10,7 +10,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from sawkit.cli import _write_atomic, main
-from sawkit.ingest import parse_csv_sweep, parse_touchstone
+from sawkit.ingest import parse_csv_sweep, parse_touchstone, write_touchstone
+from sawkit.numerics import db_convert
+from sawkit.timedomain import LossModel, synthesize_echo_network
 
 
 @pytest.fixture
@@ -120,6 +122,29 @@ class TestCavity:
         modes = (tmp_path / "cavity_modes.csv").read_text().strip().splitlines()
         assert modes[0] == "f0_hz,fwhm_hz,q_loaded,q_internal"
         assert len(modes) > 2
+
+    def test_unfit_candidates_warn_on_stderr(self, runner, tmp_path):
+        # the paper cavity as the benchmark builds it; prominence 0 keeps
+        # noise maxima, and two of the 49 candidates do not fit
+        model = LossModel(t=0.3, r=0.6, alpha=db_convert(2.0, "db_per_mm_to_per_m_power"),
+                          length=58.565e-6)
+        sweep = synthesize_echo_network(model, 6161.0, (2.8e9, 4.8e9), 4001, noise_sigma=1e-4,
+                                        seed=3)
+        path = tmp_path / "paper.s2p"
+        path.write_bytes(write_touchstone(sweep))
+        out = tmp_path / "out"
+        result = run(runner, ["--out-dir", str(out), "cavity", "--input", str(path),
+                              "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40",
+                              "--vg", "6161", "--prominence", "0", "--spacing", "5M"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == [
+            f"warning: candidate peak near {f} Hz left out: lorentzian fit did not converge: "
+            "max iterations reached"
+            for f in ("3.761e+09", "3.8135e+09")
+        ]
+        assert result.stdout == (out / "cavity_summary.txt").read_text()
+        assert result.stdout.startswith("fsr=52598945.6\n")
+        assert len((out / "cavity_modes.csv").read_text().splitlines()) == 1 + 47
 
     def test_missing_file(self, runner, tmp_path):
         result = run(
@@ -369,6 +394,14 @@ class TestIntegerFlags:
         assert not out.exists()
 
 
+def negative_axis_csv() -> str:
+    """Three Lorentzian modes in S21 and S11 on a frequency axis over -4.8...-2.8 GHz."""
+    freqs = np.linspace(-4.8e9, -2.8e9, 401)
+    s21 = sum(0.8 * 15e6**2 / ((freqs - f0) ** 2 + 15e6**2) for f0 in (-4.3e9, -3.8e9, -3.3e9))
+    rows = [f"{f:.17g},{a:.17g},0,{1 - a / 2:.17g},0\n" for f, a in zip(freqs, s21)]
+    return "freq_hz,s21_re,s21_im,s11_re,s11_im\n" + "".join(rows)
+
+
 class TestAnalysisFlagRanges:
     """Out-of-range analysis, simulate and SI flags and config values are bad usage.
 
@@ -380,6 +413,7 @@ class TestAnalysisFlagRanges:
     SWEEPS = {
         "s11_only.csv": "freq_hz,s11_re,s11_im\n1e9,0.5,0\n2e9,0.4,0\n3e9,0.5,0\n",
         "two_points.csv": "freq_hz,s21_re,s21_im\n1e9,0.5,0\n2e9,0.25,0\n",
+        "negative_axis.csv": negative_axis_csv(),
     }
 
     CAVITY = ["cavity", "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"]
@@ -435,6 +469,9 @@ class TestAnalysisFlagRanges:
             (CAVITY, "--input", "two_points.csv", "peak finding needs at least 3 samples"),
             # a repeatable flag's config value is its one entry
             (BUDGET, "loss", "abc", "Invalid value for '--loss': 'abc' is not a valid float"),
+            # used to exit 3 with "effective length ... smaller than d"
+            (CAVITY, "--input", "negative_axis.csv",
+             "cavity frequencies must be positive; the sweep starts at -4.8e+09 Hz"),
         ],
     )
     def test_exits_2(self, runner, tmp_path, command, flag, value, message):
@@ -968,8 +1005,19 @@ class TestSimulate:
             ("odar", ["--f-spin-ghz", "nan"], "'nan' is not a finite number"),
             ("odar", ["--pulse-ns", "nan"], "'nan' is not a finite number"),
             ("odar", ["--span-mhz", "-inf"], "'-inf' is not a finite number"),
+            # grids that overflow or collapse: each used to exit 2 with a message
+            # naming no flag, the first after two numpy warnings
+            ("odar", ["--f-spin-ghz", "1e300"],
+             "--f-spin-ghz, --span-mhz and --points give no strictly increasing finite grid "
+             "from inf to inf"),
+            ("sidebands", ["--mod-freq", "20n", "--carrier", "3.83G"],
+             "--carrier, --mod-freq, --orders and --points give no strictly increasing finite "
+             "grid from 3.83e+09 to 3.83e+09"),
+            ("rabi", ["--rabi-mhz", "33", "--t-max-ns", "1e-320"],
+             "--t-max-ns and --points give no strictly increasing finite grid from 0 to 0"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_float_flags_exit_2(self, runner, tmp_path, command, flags, message):
         out = tmp_path / "out"
         result = run(runner, ["--out-dir", str(out), "--seed", "1", "simulate", command, *flags])
@@ -986,7 +1034,8 @@ SI_POOL = ["nan", "Infinity", "-inf", "1e400", "-1", "0", "1n", "10n", "200n", "
 FLOAT_POOL = ["nan", "inf", "1e400", "-1", "0", "0.1", "0.5", "1", "2", "25", "-25", "abc", ""]
 INT_POOL = ["-1", "0", "1", "2", "10", "40", "400000", "1.5", "abc"]
 POINTS_POOL = ["-1", "0", "1", "2", "16", "401", "4096", "abc"]
-INPUT_POOL = ["paper.s2p", "two_points.csv", "s11_only.csv", "bad_line.s2p", "absent.s2p"]
+INPUT_POOL = ["paper.s2p", "two_points.csv", "s11_only.csv", "negative_axis.csv", "bad_line.s2p",
+              "absent.s2p"]
 
 # command: (a working call's flags, the pool each flag may draw from)
 FUZZ_COMMANDS = {

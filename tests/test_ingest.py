@@ -293,6 +293,19 @@ class TestCsv:
         with pytest.raises(FormatError):
             parse_csv_sweep(text)
 
+    def test_error_line_counts_comment_and_blank_lines(self):
+        # the bad cell sits on file line 6 in both formats
+        csv_text = b"# comment\n# comment\nfreq_hz,s21_re,s21_im\n\n1e9,0,0\n2e9,zz,0\n"
+        s2p_text = b"! comment\n! comment\n# HZ S RI R 50\n\n1e9 0 0 0 0 0 0 0 0\n2e9 0 0 zz 0 0 0 0 0\n"
+        for parse, text in ((parse_csv_sweep, csv_text), (parse_touchstone, s2p_text)):
+            with pytest.raises(FormatError, match="^line 6: bad number in data row"):
+                parse(text)
+
+    def test_error_line_after_multi_line_field(self):
+        text = b'freq_hz,s21_re,s21_im,note\n1e9,0,0,"two\nlines"\n\n2e9,0,0\n'
+        with pytest.raises(FormatError, match="^line 5: expected 4 cells, got 3"):
+            parse_csv_sweep(text)
+
     @given(st.binary(max_size=400))
     @settings(max_examples=150, deadline=None)
     def test_fuzz_never_crashes(self, blob):

@@ -149,15 +149,6 @@ class TestFitRabi:
         assert fit.rabi == pytest.approx(33.39877e6, rel=1e-4)
         assert fit.decay_tau == pytest.approx(397.17e-9, rel=1e-3)
 
-    def test_angular_convention(self):
-        t = np.linspace(0.0, 400e-9, 1601)
-        trace = simulate_rabi_trace(33.4e6, 150e-9, t)
-        cyc = fit_rabi(trace, convention="cyclic")
-        ang = fit_rabi(trace, convention="angular")
-        assert ang.rabi == pytest.approx(2.0 * math.pi * cyc.rabi, rel=1e-12)
-        with pytest.raises(ArgumentError):
-            fit_rabi(trace, convention="linear")
-
     def test_constant_trace_rejected(self):
         t = np.linspace(0.0, 400e-9, 801)
         with pytest.raises(FitError):

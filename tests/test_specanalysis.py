@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sawkit import specanalysis
 from sawkit.errors import ArgumentError, FitError, InconsistencyError
 from sawkit.ingest import NetworkSweep
-from sawkit.numerics import Series
+from sawkit.numerics import Series, db_convert
 from sawkit.specanalysis import (
     CavityGeometry,
     CavityReport,
@@ -33,6 +34,7 @@ from sawkit.specanalysis import (
     report_csv,
     report_summary,
 )
+from sawkit.timedomain import LossModel, synthesize_echo_network
 
 GEOM = CavityGeometry(d=50e-6, lambda0=1.7e-6, n_mirror=40, v_g=6161.0)
 
@@ -407,6 +409,11 @@ class TestFitDoubleLorentzian:
         big = max(abs(fit.lower.amplitude), abs(fit.upper.amplitude))
         assert small <= 0.01 * big
 
+    def test_flat_trace_degenerate(self):
+        x = np.linspace(0.0, 400.0, 2001)
+        with pytest.raises(FitError, match="flat in the window"):
+            fit_double_lorentzian(Series(x, np.full(x.size, 0.3)), (100.0, 300.0))
+
     def test_identical_overlap(self):
         x = np.linspace(0.0, 400.0, 2001)
         y = 2.0 * lorentz(x, 200.0, 10.0, 0.5)
@@ -417,6 +424,14 @@ class TestFitDoubleLorentzian:
 
 def make_sweep(pair, y, freqs):
     return NetworkSweep(freqs=freqs, s={pair: y.astype(complex)})
+
+
+def paper_cavity_sweep():
+    """The paper cavity at 4,001 points with 1e-4 noise, as the benchmark builds it."""
+    model = LossModel(
+        t=0.3, r=0.6, alpha=db_convert(2.0, "db_per_mm_to_per_m_power"), length=58.565e-6
+    )
+    return synthesize_echo_network(model, 6161.0, (2.8e9, 4.8e9), 4001, noise_sigma=1e-4, seed=3)
 
 
 class TestCavityReport:
@@ -470,6 +485,37 @@ class TestCavityReport:
         y = lorentz(freqs, 3.81e9, 1.8e6, 1.0)
         with pytest.raises(FitError, match="spectral range"):
             cavity_report(make_sweep((2, 1), y, freqs), GEOM)
+
+    def test_unfit_candidates_are_rejected(self):
+        # prominence 0 keeps noise maxima as candidates; two of them do not fit
+        sweep = paper_cavity_sweep()
+        report = cavity_report(sweep, GEOM, min_prominence=0.0, min_spacing=5e6)
+        assert [f for f, _ in report.rejected] == [3.761e9, 3.8135e9]
+        for _, reason in report.rejected:
+            assert reason == "lorentzian fit did not converge: max iterations reached"
+        assert len(report.q_loaded) == 47
+        assert report.fsr == pytest.approx(52.6e6, rel=1e-3)
+        assert report.l_p == pytest.approx(4.3e-6, rel=0.03)
+        assert cavity_report(sweep, GEOM).rejected == []
+
+    def test_fewer_than_two_fitted_modes(self, monkeypatch):
+        freqs, y, centers = comb_trace()
+        fit = specanalysis.fit_lorentzian
+
+        def fit_first_only(trace, window):
+            if window[0] > centers[0]:
+                raise FitError("lorentzian fit did not converge: max iterations reached")
+            return fit(trace, window)
+
+        monkeypatch.setattr(specanalysis, "fit_lorentzian", fit_first_only)
+        with pytest.raises(FitError, match=f"^1 of {len(centers)} peaks fitted"):
+            cavity_report(make_sweep((2, 1), y, freqs), GEOM)
+
+    @pytest.mark.parametrize("shift", [-4.0e9, -3.6e9])
+    def test_non_positive_frequencies_are_bad_input(self, shift):
+        freqs, y, _ = comb_trace()
+        with pytest.raises(ArgumentError, match="frequencies must be positive; the sweep starts at"):
+            cavity_report(make_sweep((2, 1), y, freqs + shift), GEOM)
 
     def test_no_s_parameters(self):
         freqs = np.linspace(3.7e9, 3.9e9, 101)

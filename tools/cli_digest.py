@@ -107,6 +107,11 @@ EXTRA_CALLS = [
     # a cut below every mode's prominence: the same modes as the default cut
     ("cavity_prominence_low", ["--config", "{fixtures}/device.cfg", "cavity",
                                "--input", "{fixtures}/paper.s2p", "--prominence", "0.1"]),
+    # a spacing that keeps every noise maximum as a candidate: the two that
+    # do not fit are left out, with a warning on stderr
+    ("cavity_all_candidates", ["--config", "{fixtures}/device.cfg", "cavity",
+                               "--input", "{fixtures}/paper.s2p", "--prominence", "0",
+                               "--spacing", "5M"]),
     # a narrower drive sweep away from the default spin frequency
     ("simulate_odar_narrow", ["simulate", "odar", "--f-spin-ghz", "2.5", "--span-mhz", "50"]),
     # orders up to 10 at a large modulation index: weights far from the
