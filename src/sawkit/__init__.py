@@ -24,7 +24,7 @@ _HOMES = {
     ),
     "numerics": (
         "FitResult", "SHIPPED_MODELS", "Series", "bessel_j", "db_convert", "dft",
-        "grid_step", "least_squares",
+        "grid_step", "least_squares", "least_squares_stack",
     ),
     "ingest": (
         "NetworkSweep", "parse_csv_sweep", "parse_touchstone", "write_csv",

@@ -9,16 +9,16 @@ measured or synthesized sweep.
 from __future__ import annotations
 
 import bisect
-import io
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import numerics
 from .errors import ArgumentError, FitError, InconsistencyError
-from .numerics import Series, db_convert, least_squares
+from .numerics import FitResult, Series, db_convert
 
 if TYPE_CHECKING:
     from .ingest import NetworkSweep
@@ -85,13 +85,16 @@ class CavityGeometry:
 class CavityReport:
     """Derived cavity quantities; fields stay None when inputs were absent.
 
-    rejected holds (frequency, reason) for each candidate peak left unfitted.
+    mode_fits holds each fitted mode's FitResult (covariance, iteration
+    count, message), in the order of q_loaded. rejected holds (frequency,
+    reason) for each candidate peak left unfitted.
     """
 
     fsr: Optional[float] = None
     l_p: Optional[float] = None
     r_s: Optional[float] = None
     q_loaded: List[Tuple[float, float]] = field(default_factory=list)
+    mode_fits: List[FitResult] = field(default_factory=list)
     q_internal: List[Tuple[float, float]] = field(default_factory=list)
     q_mirror: Optional[float] = None
     q_propagation: Optional[float] = None
@@ -249,20 +252,59 @@ def _half_height_width(x, y, i_max, offset, amplitude):
     return width
 
 
-def _fit_peaks(name: str, x, y, window, init) -> np.ndarray:
-    """Fitted params of SHIPPED_MODELS[name], peaks on one offset, in a window.
+def _fit_peaks(name: str, fits) -> List[Union[FitResult, FitError]]:
+    """Fit SHIPPED_MODELS[name], peaks on one offset, to each (x, y, window, init).
 
-    Each f0 stays in the window and each fwhm in [step/1000, 10 span]. A fit
-    that does not converge raises FitError with the FitResult attached.
+    Each f0 stays in its window and each fwhm in [step/1000, 10 span].
+    Fits of one length share one least_squares_stack call, so no row is
+    padded. Returns one entry per fit: its converged FitResult, or a
+    FitError, which for a fit that did not converge has the FitResult
+    attached.
     """
-    step = float(np.min(np.diff(x)))
-    peak = [(window[0], window[1]), (step * 1e-3, (x[-1] - x[0]) * 10.0), (None, None)]
-    bounds = peak * (len(init) // 3) + [(None, None)]
     model, jacobian = numerics.SHIPPED_MODELS[name]
-    result = least_squares(model, Series(x, y), init, bounds=bounds, jacobian=jacobian)
-    if not result.converged:
-        raise FitError(f"{name.replace('_', ' ')} fit did not converge: {result.message}", result)
-    return result.params
+    n_peaks = len(fits[0][3]) // 3 if fits else 0
+    by_length = defaultdict(list)
+    for i, (x, _, _, _) in enumerate(fits):
+        by_length[x.size].append(i)
+    out: List[Union[FitResult, FitError]] = [None] * len(fits)
+    for rows in by_length.values():
+        xs, ys, windows, inits = zip(*(fits[i] for i in rows))
+        x, y = np.stack(xs), np.stack(ys)
+        window = np.array(windows, dtype=float)
+        step = np.min(np.diff(x, axis=1), axis=1)
+        inf = np.full(len(rows), np.inf)
+        # per peak (f0, fwhm, amplitude), then the shared offset
+        lower = np.column_stack([window[:, 0], step * 1e-3, -inf] * n_peaks + [-inf])
+        upper = np.column_stack([window[:, 1], (x[:, -1] - x[:, 0]) * 10.0, inf] * n_peaks + [inf])
+        results = numerics.least_squares_stack(model, x, y, inits, lower, upper, jacobian=jacobian)
+        for i, result in zip(rows, results):
+            if isinstance(result, FitResult) and not result.converged:
+                result = FitError(
+                    f"{name.replace('_', ' ')} fit did not converge: {result.message}", result
+                )
+            out[i] = result
+    return out
+
+
+def _fitted(outcome: Union[FitResult, FitError]) -> FitResult:
+    if isinstance(outcome, FitError):
+        raise outcome
+    return outcome
+
+
+def _lorentzian_start(trace: Series, window: Tuple[float, float]):
+    """(x, y, window, init) of a Lorentzian fit, its guess taken from the window."""
+    x, y = _window_slice(trace, window, 8)
+    i_max = int(np.argmax(y))
+    off0 = float(np.median(y))
+    amp0 = float(y[i_max] - off0)
+    init = (float(x[i_max]), _half_height_width(x, y, i_max, off0, amp0), amp0, off0)
+    return x, y, window, init
+
+
+def _lorentzian_peak(params) -> LorentzianPeak:
+    f0, fwhm, amplitude, offset = params
+    return LorentzianPeak(float(f0), float(fwhm), float(amplitude), float(offset))
 
 
 def fit_lorentzian(trace: Series, window: Tuple[float, float]) -> LorentzianPeak:
@@ -272,13 +314,8 @@ def fit_lorentzian(trace: Series, window: Tuple[float, float]) -> LorentzianPeak
     offset, width at half prominence). Raises FitError on degenerate or
     non-converged fits with the FitResult attached.
     """
-    x, y = _window_slice(trace, window, 8)
-    i_max = int(np.argmax(y))
-    off0 = float(np.median(y))
-    amp0 = float(y[i_max] - off0)
-    init = (float(x[i_max]), _half_height_width(x, y, i_max, off0, amp0), amp0, off0)
-    f0, fwhm, amplitude, offset = _fit_peaks("lorentzian", x, y, window, init)
-    return LorentzianPeak(float(f0), float(fwhm), float(amplitude), float(offset))
+    (outcome,) = _fit_peaks("lorentzian", [_lorentzian_start(trace, window)])
+    return _lorentzian_peak(_fitted(outcome).params)
 
 
 def fit_double_lorentzian(trace: Series, window: Tuple[float, float]) -> DoubleLorentzianFit:
@@ -307,9 +344,10 @@ def fit_double_lorentzian(trace: Series, window: Tuple[float, float]) -> DoubleL
         f2 = float(x[i1]) + (x[-1] - x[0]) / 4.0
         f2 = min(max(f2, float(x[0])), float(x[-1]))
         init = (float(x[i1]), w1, a1, f2, w1, a1 / 100.0, off0)
-    f1, w1, a1, f2, w2, a2, off = _fit_peaks("double_lorentzian", x, y, window, init)
-    first = LorentzianPeak(float(f1), float(w1), float(a1), float(off))
-    second = LorentzianPeak(float(f2), float(w2), float(a2), float(off))
+    (outcome,) = _fit_peaks("double_lorentzian", [(x, y, window, init)])
+    f1, w1, a1, f2, w2, a2, off = _fitted(outcome).params
+    first = _lorentzian_peak((f1, w1, a1, off))
+    second = _lorentzian_peak((f2, w2, a2, off))
     if second.f0 < first.f0:
         first, second = second, first
     amps = sorted([abs(first.amplitude), abs(second.amplitude)])
@@ -509,13 +547,27 @@ def cavity_report(
         )
     raw_spacing = float(np.median(np.diff(raw_peaks)))
 
-    peaks: List[LorentzianPeak] = []
-    rejected: List[Tuple[float, str]] = []
-    for f, window in zip(raw_peaks, _peak_windows(sweep.freqs, raw_peaks, raw_spacing)):
+    # every candidate's window first, then all fits in one stacked call
+    outcomes: List[Union[FitError, ArgumentError, None]] = []
+    starts = []
+    for window in _peak_windows(sweep.freqs, raw_peaks, raw_spacing):
         try:
-            peaks.append(fit_lorentzian(trace, window))
+            starts.append(_lorentzian_start(trace, window))
+            outcomes.append(None)
         except (FitError, ArgumentError) as exc:
-            rejected.append((f, str(exc)))
+            outcomes.append(exc)
+    fitted = iter(_fit_peaks("lorentzian", starts))
+    peaks: List[LorentzianPeak] = []
+    mode_fits: List[FitResult] = []
+    rejected: List[Tuple[float, str]] = []
+    for f, outcome in zip(raw_peaks, outcomes):
+        if outcome is None:
+            outcome = next(fitted)
+        if isinstance(outcome, FitResult):
+            peaks.append(_lorentzian_peak(outcome.params))
+            mode_fits.append(outcome)
+        else:
+            rejected.append((f, str(outcome)))
     if len(peaks) < 2:
         raise FitError(
             f"{len(peaks)} of {len(raw_peaks)} peaks fitted; the free spectral range "
@@ -552,6 +604,7 @@ def cavity_report(
         l_p=l_p,
         r_s=r_s,
         q_loaded=q_loaded,
+        mode_fits=mode_fits,
         q_internal=q_internal,
         q_mirror=qm,
         q_propagation=qp,
@@ -561,16 +614,17 @@ def cavity_report(
 
 
 def report_csv(report: CavityReport) -> bytes:
-    """One row per fitted mode: f0, fwhm, loaded Q and internal Q."""
-    out = io.StringIO()
-    out.write("f0_hz,fwhm_hz,q_loaded,q_internal\n")
+    """One row per fitted mode: f0, fwhm, loaded Q and internal Q, as "%.17g".
+
+    A mode without an internal Q (no reflection data) has an empty cell.
+    """
+    from .textformat import format_rows  # loaded by the first write, as in ingest
+
     internal = dict(report.q_internal)
-    for f0, ql in report.q_loaded:
-        qi = internal.get(f0)
-        cells = [f"{f0:.17g}", f"{f0 / ql:.17g}", f"{ql:.17g}"]
-        cells.append(f"{qi:.17g}" if qi is not None else "")
-        out.write(",".join(cells) + "\n")
-    return out.getvalue().encode()
+    f0, ql = np.array(report.q_loaded, dtype=float).reshape(-1, 2).T
+    qi = [internal.get(f, math.nan) for f in f0.tolist()]
+    rows = b"".join(format_rows(np.column_stack((f0, f0 / ql, ql, qi)), ","))
+    return b"f0_hz,fwhm_hz,q_loaded,q_internal\n" + rows.replace(b",nan\n", b",\n")
 
 
 def report_summary(report: CavityReport) -> str:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sawkit.errors import ArgumentError, FitError, GridError
 from sawkit.numerics import (
+    MAX_ITERATIONS,
     SHIPPED_MODELS,
     Series,
     bessel_j,
@@ -16,6 +17,7 @@ from sawkit.numerics import (
     dft,
     grid_step,
     least_squares,
+    least_squares_stack,
     line,
     line_jacobian,
     lorentzian,
@@ -258,6 +260,224 @@ class TestLeastSquares:
         )
         assert not fit.converged
         assert "singular" in fit.message
+
+
+def serial_least_squares(model, x, y, p, lo, hi, jacobian):
+    """The one-fit-at-a-time Levenberg-Marquardt loop, kept as the reference.
+
+    least_squares_stack must give every row exactly this result: the same
+    params, iterations, message, residual norm and covariance, or the same
+    FitError. model and jacobian take 1-D x and params.
+    """
+    p = np.clip(np.asarray(p, dtype=float), lo, hi)
+
+    def residuals(pv):
+        f = np.asarray(model(x, pv), dtype=float)
+        if not np.all(np.isfinite(f)):
+            raise FitError("non-finite model output during fit")
+        return f - y
+
+    r = residuals(p)
+    cost = float(r @ r)
+    lam = 1e-3
+    converged = False
+    message = "max iterations reached"
+    tiny = np.finfo(float).tiny
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        J = np.asarray(jacobian(x, p), dtype=float)
+        if not np.all(np.isfinite(J)):
+            raise FitError("non-finite jacobian during fit")
+        g = J.T @ r
+        A = J.T @ J
+        d = np.diag(A).copy()
+        if not np.any(d > 0):
+            message = "singular normal equations: jacobian is identically zero"
+            break
+        d[d <= 0] = d[d > 0].min()
+        accepted = False
+        while True:
+            try:
+                delta = np.linalg.solve(A + lam * np.diag(d), -g)
+            except np.linalg.LinAlgError:
+                delta = None
+            if delta is None or not np.all(np.isfinite(delta)):
+                message = "singular normal equations"
+                break
+            p_try = np.clip(p + delta, lo, hi)
+            step = p_try - p
+            r_try = residuals(p_try)
+            cost_try = float(r_try @ r_try)
+            if cost_try <= cost:
+                rel_step = np.linalg.norm(step) / max(np.linalg.norm(p_try), tiny)
+                rel_drop = (cost - cost_try) / max(cost, tiny)
+                p, r, cost = p_try, r_try, cost_try
+                lam = max(lam / 10.0, 1e-14)
+                accepted = True
+                if rel_step < 1e-10:
+                    converged = True
+                    message = "converged: relative step below 1e-10"
+                elif rel_drop < 1e-12:
+                    converged = True
+                    message = "converged: relative residual change below 1e-12"
+                break
+            lam *= 10.0
+            if lam > 1e14:
+                message = "damping exhausted without an acceptable step"
+                break
+        if converged or not accepted:
+            break
+    covariance = None
+    if converged and y.size > p.size:
+        J = np.asarray(jacobian(x, p), dtype=float)
+        covariance = np.linalg.inv(J.T @ J) * (cost / (y.size - p.size))
+    return p, float(np.sqrt(cost)), converged, iterations, covariance, message
+
+
+def assert_same_fit(result, reference):
+    """result (a FitResult or FitError) is bit for bit the reference's outcome."""
+    if isinstance(reference, FitError):
+        assert isinstance(result, FitError) and str(result) == str(reference)
+        return
+    p, norm, converged, iterations, covariance, message = reference
+    assert result.params.tobytes() == p.tobytes()
+    assert (result.residual_norm, result.converged, result.iterations, result.message) == (
+        norm, converged, iterations, message
+    )
+    if covariance is None:
+        assert result.covariance is None
+    else:
+        assert result.covariance.tobytes() == covariance.tobytes()
+
+
+def reference_outcome(*args):
+    try:
+        return serial_least_squares(*args)
+    except FitError as exc:
+        return exc
+
+
+def poisoned_lorentzian(kinds):
+    """The lorentzian model and Jacobian, broken per row; a row is named by its first x.
+
+    "nan" gives NaN output once the fwhm falls below 0.45, "zero" an all-zero
+    Jacobian, "singular" a Jacobian whose damped normal matrix is exactly
+    singular, "uphill" a negated Jacobian (every step is rejected) and
+    "stall" one scaled by 1e6 (every step is a millionth of the
+    Gauss-Newton step, so the fit never converges).
+    """
+    def model(x, params):
+        y = lorentzian(x, params)
+        for i, x0 in enumerate(x[:, 0].tolist()):
+            if kinds.get(x0) == "nan" and params[1][i, 0] < 0.45:
+                y[i] = np.nan
+        return y
+
+    def jacobian(x, params):
+        J = lorentzian_jacobian(x, params)
+        for i, x0 in enumerate(x[:, 0].tolist()):
+            kind = kinds.get(x0)
+            if kind in ("zero", "singular"):
+                J[i] = 0.0
+            if kind == "singular":
+                # A[0, 0] is the smallest subnormal, and lam times it rounds to 0
+                J[i, 0, 0] = 2.3e-162
+            if kind == "uphill":
+                J[i] *= -1.0
+            if kind == "stall":
+                J[i] *= 1e6
+        return J
+
+    return model, jacobian
+
+
+class TestLeastSquaresStack:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_MODELS))
+    def test_stack_of_one_is_the_serial_fit(self, name):
+        func, jac = SHIPPED_MODELS[name]
+        p_true = np.array(TRUE_PARAMS[name])
+        x = X_GRID[name]
+        rng = np.random.default_rng(7)
+        y = func(x, p_true) + rng.normal(scale=1e-3, size=x.size)
+        init = p_true * 1.15 + 0.05
+        lo = np.full(p_true.size, -np.inf)
+        hi = np.full(p_true.size, np.inf)
+        reference = serial_least_squares(func, x, y, init, lo, hi, jac)
+        (stacked,) = least_squares_stack(func, x[None], y[None], init[None], jacobian=jac)
+        assert_same_fit(stacked, reference)
+        assert_same_fit(least_squares(func, Series(x, y), init, jacobian=jac), reference)
+        assert stacked.converged and stacked.covariance is not None
+
+    def test_each_row_is_its_solo_fit(self):
+        x = np.linspace(-3.0, 3.0, 101)
+        rng = np.random.default_rng(11)
+        kinds = ["good", "nan", "good", "zero", "singular", "good", "uphill", "stall", "good"]
+        xs = np.stack([x + 1e-3 * i for i in range(len(kinds))])
+        model, jac = poisoned_lorentzian({float(row[0]): k for row, k in zip(xs, kinds)})
+        ys = lorentzian(xs, np.array(TRUE_PARAMS["lorentzian"])[:, None, None])
+        ys = ys + rng.normal(scale=1e-2, size=ys.shape)
+        inits = np.tile([0.3, 0.5, 1.5, 0.1], (len(kinds), 1)) + 0.01 * np.arange(len(kinds))[:, None]
+        lo = np.array([-1.0, 1e-3, -np.inf, -np.inf])
+        hi = np.array([1.0, 10.0, np.inf, np.inf])
+
+        results = least_squares_stack(model, xs, ys, inits, lo, hi, jacobian=jac)
+        for i, result in enumerate(results):
+            (solo,) = least_squares_stack(
+                model, xs[i:i + 1], ys[i:i + 1], inits[i:i + 1], lo, hi, jacobian=jac
+            )
+            assert_same_fit(solo, reference_outcome(
+                lambda x, p: model(x[None], p[:, None, None])[0], xs[i], ys[i], inits[i], lo, hi,
+                lambda x, p: jac(x[None], p[:, None, None])[0],
+            ))
+            if isinstance(solo, FitError):
+                assert isinstance(result, FitError) and str(result) == str(solo)
+            else:
+                assert_same_fit(result, (solo.params, solo.residual_norm, solo.converged,
+                                         solo.iterations, solo.covariance, solo.message))
+
+        outcome = dict(zip(kinds, results))
+        assert all(r.converged for k, r in zip(kinds, results) if k == "good")
+        assert str(outcome["nan"]) == "non-finite model output during fit"
+        assert outcome["zero"].message == "singular normal equations: jacobian is identically zero"
+        assert outcome["zero"].iterations == 1
+        assert outcome["singular"].message == "singular normal equations"
+        assert outcome["uphill"].message == "damping exhausted without an acceptable step"
+        assert outcome["stall"].message == "max iterations reached"
+        assert outcome["stall"].iterations == MAX_ITERATIONS
+        for k in ("zero", "singular", "uphill", "stall"):
+            assert not outcome[k].converged and outcome[k].covariance is None
+
+    def test_non_finite_jacobian_fails_its_row_only(self):
+        x = np.linspace(-3.0, 3.0, 41)
+        xs = np.stack([x, x + 0.5])
+        ys = lorentzian(xs, np.array(TRUE_PARAMS["lorentzian"])[:, None, None])
+
+        def jac(x, params):
+            J = lorentzian_jacobian(x, params)
+            J[x[:, 0] > -3.0] = np.inf
+            return J
+
+        good, bad = least_squares_stack(lorentzian, xs, ys, [[0.2, 0.4, 1.8, 0.1]] * 2, jacobian=jac)
+        assert good.converged
+        assert isinstance(bad, FitError) and str(bad) == "non-finite jacobian during fit"
+
+    @pytest.mark.parametrize("x_shape,p_shape,match", [
+        ((2, 5), (3, 2), "one data row and one parameter vector per fit"),
+        ((2, 5), (2, 0), "one data row and one parameter vector per fit"),
+        ((2, 4), (2, 2), "differ in shape"),
+    ])
+    def test_rejects_mismatched_stacks(self, x_shape, p_shape, match):
+        with pytest.raises(ArgumentError, match=match):
+            least_squares_stack(line, np.zeros(x_shape), np.zeros((2, 5)), np.zeros(p_shape),
+                                jacobian=line_jacobian)
+
+    def test_rejects_inverted_bounds(self):
+        x = np.tile(np.linspace(0.0, 1.0, 5), (2, 1))
+        with pytest.raises(ArgumentError, match="bound 1 has lower > upper"):
+            least_squares_stack(line, x, x, np.zeros((2, 2)), [0.0, 1.0], [1.0, 0.0],
+                                jacobian=line_jacobian)
+        with pytest.raises(ArgumentError, match="bound 1 has lower > upper"):
+            least_squares(line, Series(x[0], x[0]), (0.0, 0.0), bounds=[(0.0, 1.0), (1.0, 0.0)],
+                          jacobian=line_jacobian)
 
 
 class TestBessel:

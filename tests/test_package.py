@@ -142,8 +142,8 @@ def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
 # errors. textformat comes with the first file written; plotting with --plot.
 SUBCOMMAND_MODULES = {
     "synth": {"timedomain", "ingest", "numerics", "textformat"},
-    "cavity": {"specanalysis", "ingest", "numerics", "plotting"},
-    "echo-loss": {"timedomain", "ingest", "numerics"},
+    "cavity": {"specanalysis", "ingest", "numerics", "plotting", "textformat"},
+    "echo-loss": {"timedomain", "ingest", "numerics", "textformat"},
     "gate": {"timedomain", "ingest", "numerics", "textformat"},
     "convert": {"ingest", "textformat"},
     "budget": {"spinphonon"},

@@ -426,12 +426,26 @@ def make_sweep(pair, y, freqs):
     return NetworkSweep(freqs=freqs, s={pair: y.astype(complex)})
 
 
-def paper_cavity_sweep():
-    """The paper cavity at 4,001 points with 1e-4 noise, as the benchmark builds it."""
+def paper_cavity_sweep(r=0.6, alpha_db_mm=2.0, seed=3):
+    """The paper cavity at 4,001 points with 1e-4 noise, as the benchmark builds it.
+
+    r=0.95, alpha_db_mm=0.5, seed=4 is the benchmark's high-finesse cavity.
+    """
     model = LossModel(
-        t=0.3, r=0.6, alpha=db_convert(2.0, "db_per_mm_to_per_m_power"), length=58.565e-6
+        t=0.3, r=r, alpha=db_convert(alpha_db_mm, "db_per_mm_to_per_m_power"), length=58.565e-6
     )
-    return synthesize_echo_network(model, 6161.0, (2.8e9, 4.8e9), 4001, noise_sigma=1e-4, seed=3)
+    return synthesize_echo_network(model, 6161.0, (2.8e9, 4.8e9), 4001, noise_sigma=1e-4, seed=seed)
+
+
+def old_report_csv(report):
+    """report_csv's former per-row f-string writer, kept as the byte reference."""
+    internal = dict(report.q_internal)
+    lines = ["f0_hz,fwhm_hz,q_loaded,q_internal\n"]
+    for f0, ql in report.q_loaded:
+        qi = internal.get(f0)
+        cells = [f"{f0:.17g}", f"{f0 / ql:.17g}", f"{ql:.17g}", f"{qi:.17g}" if qi is not None else ""]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines).encode()
 
 
 class TestCavityReport:
@@ -498,16 +512,67 @@ class TestCavityReport:
         assert report.l_p == pytest.approx(4.3e-6, rel=0.03)
         assert cavity_report(sweep, GEOM).rejected == []
 
+    @pytest.mark.parametrize("device", [dict(), dict(r=0.95, alpha_db_mm=0.5, seed=4)])
+    def test_batched_fits_are_the_per_mode_fits(self, device, monkeypatch):
+        sweep = paper_cavity_sweep(**device)
+        report = cavity_report(sweep, GEOM)
+        trace = Series(sweep.freqs, np.abs(sweep.pair((2, 1))))
+        raw = find_peaks(trace, 0.1 * float(np.ptp(trace.y)), 5 * float(np.median(np.diff(sweep.freqs))))
+        windows = list(specanalysis._peak_windows(sweep.freqs, raw, float(np.median(np.diff(raw)))))
+        # record the FitResult each per-mode fit_lorentzian call drops
+        solo = []
+        stack = specanalysis.numerics.least_squares_stack
+
+        def recorded(*args, **kwargs):
+            results = stack(*args, **kwargs)
+            solo.extend(results)
+            return results
+
+        monkeypatch.setattr(specanalysis.numerics, "least_squares_stack", recorded)
+        peaks = [fit_lorentzian(trace, window) for window in windows]
+        assert report.rejected == [] and len(report.mode_fits) == len(peaks) == 38
+        for peak, fit, ref in zip(peaks, report.mode_fits, solo):
+            assert list(fit.params) == [peak.f0, peak.fwhm, peak.amplitude, peak.offset]
+            assert fit.params.tobytes() == ref.params.tobytes()
+            assert fit.iterations == ref.iterations
+            assert fit.message == ref.message
+            assert fit.covariance.tobytes() == ref.covariance.tobytes()
+        assert [(p.f0, p.q_loaded()) for p in peaks] == report.q_loaded
+
+    def test_mode_fits_carry_diagnostics(self):
+        report = cavity_report(paper_cavity_sweep(), GEOM)
+        assert len(report.mode_fits) == len(report.q_loaded)
+        for (f0, q), fit in zip(report.q_loaded, report.mode_fits):
+            assert fit.converged and fit.message.startswith("converged")
+            assert (fit.params[0], fit.params[0] / fit.params[1]) == (f0, q)
+            assert fit.covariance.shape == (4, 4)
+            assert 0 < fit.covariance[0, 0] < (0.01 * fit.params[1]) ** 2
+        assert sum(fit.iterations for fit in report.mode_fits) == 229
+
+    def test_report_csv_bytes(self):
+        freqs = np.linspace(3.6e9, 4.0e9, 8001)
+        s11 = np.ones_like(freqs)
+        for k in range(-3, 4):
+            f0 = 3.81e9 + k * 52.6e6
+            s11 -= 0.286 * lorentz(freqs, f0, f0 / 2100.0, 1.0)
+        with_internal = cavity_report(make_sweep((1, 1), s11, freqs), GEOM)
+        without = cavity_report(paper_cavity_sweep(), GEOM)
+        partial = CavityReport(q_loaded=[(3.8e9, 2000.0), (3.85e9, 2100.5)],
+                               q_internal=[(3.85e9, 1e17)])
+        for report in (with_internal, without, partial, CavityReport()):
+            assert report_csv(report) == old_report_csv(report)
+        assert report_csv(without).splitlines()[1].endswith(b",")
+
     def test_fewer_than_two_fitted_modes(self, monkeypatch):
         freqs, y, centers = comb_trace()
-        fit = specanalysis.fit_lorentzian
+        fit = specanalysis._fit_peaks
 
-        def fit_first_only(trace, window):
-            if window[0] > centers[0]:
-                raise FitError("lorentzian fit did not converge: max iterations reached")
-            return fit(trace, window)
+        def fit_first_only(name, fits):
+            first, *rest = fit(name, fits)
+            failure = FitError("lorentzian fit did not converge: max iterations reached")
+            return [first] + [failure] * len(rest)
 
-        monkeypatch.setattr(specanalysis, "fit_lorentzian", fit_first_only)
+        monkeypatch.setattr(specanalysis, "_fit_peaks", fit_first_only)
         with pytest.raises(FitError, match=f"^1 of {len(centers)} peaks fitted"):
             cavity_report(make_sweep((2, 1), y, freqs), GEOM)
 

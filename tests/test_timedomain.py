@@ -425,6 +425,18 @@ class TestEchoTrainType:
         with pytest.raises(ArgumentError):
             EchoTrain(peaks=peaks, round_trip=2e-8)
 
+    def test_csv_bytes(self):
+        # the former per-row f-string writer is the byte reference
+        magnitudes = [0.5, 0.0, 1e-300, 5e-324] + [0.3 ** n for n in range(4, 240)]
+        peaks = [EchoPeak(n, (2 * n + 1) * 1.055e-8, h) for n, h in enumerate(magnitudes)]
+        lines = ["n,tau_ns,h_max,2ln_h_max\n"]
+        for p in peaks:
+            two_ln = 2.0 * math.log(p.h_max) if p.h_max > 0 else -math.inf
+            lines.append(f"{p.n},{p.tau * 1e9:.17g},{p.h_max:.17g},{two_ln:.17g}\n")
+        train = EchoTrain(peaks=peaks, round_trip=2.11e-8)
+        assert echo_train_csv(train) == "".join(lines).encode()
+        assert b"\n1,31.650000000000002,0,-inf\n" in echo_train_csv(train)
+
     def test_csv_layout(self):
         peaks = [EchoPeak(0, 1.055e-8, 0.5), EchoPeak(1, 3.165e-8, 0.25)]
         train = EchoTrain(peaks=peaks, round_trip=2.11e-8)

@@ -112,6 +112,14 @@ EXTRA_CALLS = [
     ("cavity_all_candidates", ["--config", "{fixtures}/device.cfg", "cavity",
                                "--input", "{fixtures}/paper.s2p", "--prominence", "0",
                                "--spacing", "5M"]),
+    # the benchmark's high-finesse cavity (R = 0.95, 0.5 dB/mm; 38 modes and
+    # about 380 Gauss-Newton steps in all), synthesized, then characterized
+    # from that output
+    ("synth_high_finesse", ["--seed", "{seed}", "synth", "--r", "0.95", "--alpha-db-mm", "0.5",
+                            "--length", "58.565u", "--noise", "1e-4"]),
+    ("cavity_high_finesse", ["--config", "{fixtures}/device.cfg", "cavity",
+                             "--input", "{out}/synth_high_finesse/synthetic.s2p",
+                             "--alpha-db-mm", "0.5"]),
     # a narrower drive sweep away from the default spin frequency
     ("simulate_odar_narrow", ["simulate", "odar", "--f-spin-ghz", "2.5", "--span-mhz", "50"]),
     # orders up to 10 at a large modulation index: weights far from the
