@@ -3,15 +3,16 @@
 Everything here is a pure function of its inputs. The fitter is one
 damped Gauss-Newton (Levenberg-Marquardt) loop, least_squares_stack,
 sized for the small, smooth models used elsewhere in the package. It
-fits a stack of equal-length fits at once: each round forms every
-stepping row's normal matrix with one np.matmul and solves every active
-row's damped system with one stacked np.linalg.solve, while each row
-keeps its own damping, step acceptance, convergence test and iteration
-budget, and a failure ends only its own row. least_squares is the same
-loop on a stack of one. There is no finite-difference fallback: every
-fit passes its model's analytic Jacobian, and SHIPPED_MODELS pairs each
-model with one; the shipped models evaluate a whole stack as well as a
-single fit.
+fits a stack of fits at once: each round forms every stepping row's
+normal matrix with one np.matmul and solves every active row's damped
+system with one stacked np.linalg.solve, while each row keeps its own
+damping, step acceptance, convergence test and iteration budget, and a
+failure ends only its own row. Shorter rows are padded with masked exact
+zeros, so each row's result is that of the row fitted alone.
+least_squares is the same loop on a stack of one. There is no
+finite-difference fallback: every fit passes its model's analytic
+Jacobian, and SHIPPED_MODELS pairs each model with one; the shipped
+models evaluate a whole stack as well as a single fit.
 """
 
 from __future__ import annotations
@@ -204,13 +205,20 @@ def least_squares_stack(
 ) -> List[Union[FitResult, FitError]]:
     """Fit every row of a stack: row i minimizes sum((model - y[i])**2).
 
-    x and y are (m, n) stacks of m fits of n samples each, and
-    initial_params is (m, k). model(x, cols) and jacobian(x, cols) take
-    a (r, n) block of x rows and the parameters as columns, cols =
+    x and y are stacks of m fits, (m, n) arrays or sequences of 1-D rows,
+    and initial_params is (m, k). model(x, cols) and jacobian(x, cols)
+    take a (r, n) block of x rows and the parameters as columns, cols =
     params.T[..., None], so a model that unpacks ``a, b = params`` gets
     one (r, 1) column per parameter. model returns (r, n) values and
     jacobian the (r, n, k) analytic Jacobian. lower and upper broadcast
     to (m, k), with -inf or inf for an open side.
+
+    Rows may differ in length. Each is padded to the longest, x with
+    copies of its last sample and y with zeros, and a 0/1 mask zeroes the
+    padded residuals and Jacobian rows, so J^T J and J^T r, summed in
+    sample order, gain exact zeros. r @ r, whose BLAS dot sums in lanes
+    set by its length, is summed over the row's own samples, and the
+    covariance uses the row's own n_i - k.
 
     Damped Gauss-Newton (Levenberg-Marquardt). Each round forms J^T J of
     the rows that took a step with one np.matmul, the same BLAS call per
@@ -231,22 +239,28 @@ def least_squares_stack(
     raise ArgumentError, and a model or jacobian output of the wrong
     shape raises FitError, for the whole stack.
     """
-    y = np.asarray(y)
-    if np.iscomplexobj(y):
+    xs, ys = [np.asarray(row, dtype=float) for row in x], [np.asarray(row) for row in y]
+    if any(np.iscomplexobj(row) for row in ys):
         raise ArgumentError("least_squares fits real-valued data")
-    y = y.astype(float)
     p = np.array(initial_params, dtype=float)
-    if y.ndim != 2 or p.ndim != 2 or p.shape[0] != y.shape[0] or p.shape[1] == 0:
+    rows_1d = ys and all(row.ndim == 1 for row in ys)
+    if not rows_1d or p.ndim != 2 or p.shape[0] != len(ys) or p.shape[1] == 0:
         raise ArgumentError("a fit stack needs one data row and one parameter vector per fit")
-    x = np.asarray(x, dtype=float)
-    if x.shape != y.shape:
+    if [row.shape for row in xs] != [row.shape for row in ys]:
         raise ArgumentError("x and y stacks differ in shape")
     if not np.all(np.isfinite(p)):
         raise ArgumentError("initial_params must be finite")
-    m, n = y.shape
-    k = p.shape[1]
-    if n < k:
+    lengths = np.array([row.size for row in ys])
+    m, n, k = len(ys), int(lengths.max()), p.shape[1]
+    if lengths.min() < k:
         raise ArgumentError("data must have at least as many points as parameters")
+    if lengths.min() == n:
+        x, y, mask = np.array(xs), np.array(ys, dtype=float), None
+    else:
+        # pad each shorter row to n samples, x with its last sample; mask is 0 there, 1 elsewhere
+        take = np.cumsum(lengths)[:, None] + np.minimum(np.arange(n) - lengths[:, None], -1)
+        mask = (np.arange(n) < lengths[:, None]).astype(float)
+        x, y = np.concatenate(xs)[take], np.concatenate(ys).astype(float)[take] * mask
     try:
         lo = np.broadcast_to(np.asarray(lower, dtype=float), p.shape)
         hi = np.broadcast_to(np.asarray(upper, dtype=float), p.shape)
@@ -277,13 +291,22 @@ def least_squares_stack(
         if f.shape != (rows.size, n):
             raise FitError("model output shape does not match data")
         finite = np.isfinite(f).all(axis=1)
+        r = f - y[rows] if mask is None else (f - y[rows]) * mask[rows]
         if finite.all():
-            return f - y[rows], None
+            return r, None
         stop(rows[~finite], "non-finite model output during fit", error=True)
-        return f - y[rows], finite
+        return r, finite
+
+    def squares(rows, r):
+        # a short row's r @ r is summed over its own samples, as when it is fitted alone
+        out = _row_dot(r, r)
+        if mask is not None:
+            for i in np.flatnonzero(lengths[rows] < n).tolist():
+                out[i] = r[i, :lengths[rows[i]]] @ r[i, :lengths[rows[i]]]
+        return out
 
     r, _ = residuals(np.arange(m), p)
-    cost = _row_dot(r, r)
+    cost = squares(np.arange(m), r)
     lam = np.full(m, 1e-3)
     iterations = np.zeros(m, dtype=int)
     # the damped systems of the current step: A = J^T J, g = J^T r, d the damping diagonal
@@ -307,6 +330,8 @@ def least_squares_stack(
             if not finite.all():
                 stop(rows[~finite], "non-finite jacobian during fit", error=True)
                 rows, J = rows[finite], J[finite]
+            if mask is not None:
+                J = J * mask[rows, :, None]
             Jt = J.transpose(0, 2, 1)
             g[rows] = np.matmul(Jt, r[rows, :, None])[:, :, 0]
             A[rows] = np.matmul(Jt, J)
@@ -334,7 +359,7 @@ def least_squares_stack(
         r_try, finite = residuals(rows, p_try)
         if finite is not None:
             rows, p_try, step, r_try = rows[finite], p_try[finite], step[finite], r_try[finite]
-        cost_try = _row_dot(r_try, r_try)
+        cost_try = squares(rows, r_try)
 
         better = cost_try <= cost[rows]
         if not better.all():
@@ -360,15 +385,17 @@ def least_squares_stack(
         fresh[rows] = active[rows]
 
     covariance = [None] * m
-    done = np.flatnonzero(converged)
-    if done.size and n > k:
+    done = np.flatnonzero(converged & (lengths > k))
+    if done.size:
         J = np.asarray(jacobian(x[done], p[done].T[..., None]), dtype=float)
+        if mask is not None:
+            J = J * mask[done, :, None]
         inverse, singular = _solve_stack(
             np.matmul(J.transpose(0, 2, 1), J), np.broadcast_to(eye, (done.size, k, k))
         )
         for i, inv, bad in zip(done.tolist(), inverse, singular.tolist()):
             if not bad:
-                covariance[i] = inv * (cost[i] / (n - k))
+                covariance[i] = inv * (cost[i] / (lengths[i] - k))
     return [
         failed[i] if i in failed else FitResult(
             params=p[i].copy(),

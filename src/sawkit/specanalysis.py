@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -219,87 +218,105 @@ def find_peaks(trace: Series, min_prominence: float, min_spacing: float) -> List
     return kept
 
 
-def _window_slice(trace: Series, window, min_samples: int):
-    lo, hi = window
-    if not (lo < hi):
+def _sample_ranges(x: np.ndarray, windows: np.ndarray):
+    """[start, stop) of the samples lo <= x <= hi of each (lo, hi) row of windows."""
+    return np.searchsorted(x, windows[:, 0], "left"), np.searchsorted(x, windows[:, 1], "right")
+
+
+def _window_blocks(trace: Series, windows, min_samples: int):
+    """Each window's samples, one 2-D block per sample count: (blocks, errors).
+
+    A block is (window indices, x rows, |y| rows, row medians); errors maps each window
+    left out to its ArgumentError (too few samples) or FitError (flat trace).
+    """
+    windows = np.asarray(windows, dtype=float)
+    if windows.shape[1:] != (2,):
+        raise ArgumentError("a window is one (lo, hi) pair")
+    if not np.all(windows[:, 0] < windows[:, 1]):
         raise ArgumentError("window must satisfy lo < hi")
-    mask = (trace.x >= lo) & (trace.x <= hi)
-    if int(mask.sum()) < min_samples:
-        raise ArgumentError(
-            f"window contains {int(mask.sum())} samples, needs at least {min_samples}"
-        )
-    y = trace.y
-    if np.iscomplexobj(y):
-        y = np.abs(y)
-    x, y = trace.x[mask], np.asarray(y, float)[mask]
-    scale = max(abs(float(np.median(y))), float(np.ptp(y)), 1.0)
-    if np.ptp(y) <= 1e-14 * scale:
-        raise FitError("degenerate fit: trace is flat in the window")
-    return x, y
+    start, stop = _sample_ranges(trace.x, windows)
+    n = stop - start
+    errors = {}
+    for i in np.flatnonzero(n < min_samples).tolist():
+        errors[i] = ArgumentError(f"window contains {n[i]} samples, needs at least {min_samples}")
+    values = np.abs(trace.y) if np.iscomplexobj(trace.y) else np.asarray(trace.y, float)
+    blocks = []
+    for size in np.unique(n[n >= min_samples]).tolist():
+        rows = np.flatnonzero(n == size)
+        take = start[rows, None] + np.arange(size)
+        x, y = trace.x[take], values[take]
+        median = np.median(y, axis=1)
+        ptp = y.max(axis=1) - y.min(axis=1)
+        flat = ptp <= 1e-14 * np.maximum(np.maximum(np.abs(median), ptp), 1.0)
+        for i in rows[flat].tolist():
+            errors[i] = FitError("degenerate fit: trace is flat in the window")
+        blocks.append((rows[~flat], x[~flat], y[~flat], median[~flat]))
+    return blocks, errors
 
 
-def _half_height_width(x, y, i_max, offset, amplitude):
-    level = offset + amplitude / 2.0
-    j = i_max
-    while j > 0 and y[j] > level:
-        j -= 1
-    k = i_max
-    while k < y.size - 1 and y[k] > level:
-        k += 1
-    width = x[k] - x[j]
-    if width <= 0:
-        width = (x[-1] - x[0]) / 6.0
-    return width
+def _half_height_width(x, y, i_peak, offset, amplitude):
+    """Width at half height of the peak at column i_peak[j] of each row j.
+
+    Each side ends at the peak's nearest sample at or below offset + amplitude / 2,
+    or at the row's end; a width that is not positive falls back to a sixth of the span.
+    """
+    level = (offset + amplitude / 2.0)[:, None]
+    cols = np.arange(y.shape[1])
+    low = ~(y > level)
+    left = np.where(low & (cols <= i_peak[:, None]), cols, 0).max(axis=1)
+    right = np.where(low & (cols >= i_peak[:, None]), cols, cols.size - 1).min(axis=1)
+    rows = np.arange(y.shape[0])
+    width = x[rows, right] - x[rows, left]
+    return np.where(width <= 0, (x[:, -1] - x[:, 0]) / 6.0, width)
 
 
 def _fit_peaks(name: str, fits) -> List[Union[FitResult, FitError]]:
     """Fit SHIPPED_MODELS[name], peaks on one offset, to each (x, y, window, init).
 
     Each f0 stays in its window and each fwhm in [step/1000, 10 span].
-    Fits of one length share one least_squares_stack call, so no row is
-    padded. Returns one entry per fit: its converged FitResult, or a
+    Every fit goes into one least_squares_stack call, whatever its
+    length. Returns one entry per fit: its converged FitResult, or a
     FitError, which for a fit that did not converge has the FitResult
     attached.
     """
+    if not fits:
+        return []
     model, jacobian = numerics.SHIPPED_MODELS[name]
-    n_peaks = len(fits[0][3]) // 3 if fits else 0
-    by_length = defaultdict(list)
-    for i, (x, _, _, _) in enumerate(fits):
-        by_length[x.size].append(i)
-    out: List[Union[FitResult, FitError]] = [None] * len(fits)
-    for rows in by_length.values():
-        xs, ys, windows, inits = zip(*(fits[i] for i in rows))
-        x, y = np.stack(xs), np.stack(ys)
-        window = np.array(windows, dtype=float)
-        step = np.min(np.diff(x, axis=1), axis=1)
-        inf = np.full(len(rows), np.inf)
-        # per peak (f0, fwhm, amplitude), then the shared offset
-        lower = np.column_stack([window[:, 0], step * 1e-3, -inf] * n_peaks + [-inf])
-        upper = np.column_stack([window[:, 1], (x[:, -1] - x[:, 0]) * 10.0, inf] * n_peaks + [inf])
-        results = numerics.least_squares_stack(model, x, y, inits, lower, upper, jacobian=jacobian)
-        for i, result in zip(rows, results):
-            if isinstance(result, FitResult) and not result.converged:
-                result = FitError(
-                    f"{name.replace('_', ' ')} fit did not converge: {result.message}", result
-                )
-            out[i] = result
-    return out
+    xs, ys, windows, inits = zip(*fits)
+    n_peaks = len(inits[0]) // 3
+    window = np.array(windows, dtype=float)
+    step = np.array([(x[1:] - x[:-1]).min() for x in xs])
+    span = np.array([x[-1] - x[0] for x in xs])
+    inf = np.full(len(fits), np.inf)
+    # per peak (f0, fwhm, amplitude), then the shared offset
+    lower = np.column_stack([window[:, 0], step * 1e-3, -inf] * n_peaks + [-inf])
+    upper = np.column_stack([window[:, 1], span * 10.0, inf] * n_peaks + [inf])
+    results = numerics.least_squares_stack(model, xs, ys, inits, lower, upper, jacobian=jacobian)
+    return [
+        FitError(f"{name.replace('_', ' ')} fit did not converge: {result.message}", result)
+        if isinstance(result, FitResult) and not result.converged else result
+        for result in results
+    ]
 
 
-def _fitted(outcome: Union[FitResult, FitError]) -> FitResult:
-    if isinstance(outcome, FitError):
+def _fitted(outcome):
+    if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _lorentzian_start(trace: Series, window: Tuple[float, float]):
-    """(x, y, window, init) of a Lorentzian fit, its guess taken from the window."""
-    x, y = _window_slice(trace, window, 8)
-    i_max = int(np.argmax(y))
-    off0 = float(np.median(y))
-    amp0 = float(y[i_max] - off0)
-    init = (float(x[i_max]), _half_height_width(x, y, i_max, off0, amp0), amp0, off0)
-    return x, y, window, init
+def _lorentzian_starts(trace: Series, windows) -> List[Union[tuple, ArgumentError, FitError]]:
+    """(x, y, window, init) of a Lorentzian fit in each window, or why it has none."""
+    blocks, errors = _window_blocks(trace, windows, 8)
+    starts = [errors.get(i) for i in range(len(windows))]
+    for rows, x, y, off0 in blocks:
+        i_max = y.argmax(axis=1)
+        amp0 = y[np.arange(rows.size), i_max] - off0
+        f0 = x[np.arange(rows.size), i_max]
+        init = np.column_stack([f0, _half_height_width(x, y, i_max, off0, amp0), amp0, off0])
+        for i, xi, yi, p in zip(rows.tolist(), x, y, init):
+            starts[i] = (xi, yi, windows[i], p)
+    return starts
 
 
 def _lorentzian_peak(params) -> LorentzianPeak:
@@ -314,7 +331,8 @@ def fit_lorentzian(trace: Series, window: Tuple[float, float]) -> LorentzianPeak
     offset, width at half prominence). Raises FitError on degenerate or
     non-converged fits with the FitResult attached.
     """
-    (outcome,) = _fit_peaks("lorentzian", [_lorentzian_start(trace, window)])
+    (start,) = _lorentzian_starts(trace, [window])
+    (outcome,) = _fit_peaks("lorentzian", [_fitted(start)])
     return _lorentzian_peak(_fitted(outcome).params)
 
 
@@ -324,23 +342,19 @@ def fit_double_lorentzian(trace: Series, window: Tuple[float, float]) -> DoubleL
     The degenerate flag is set when one amplitude collapses below 1% of
     the other, which is what single-peak data produces.
     """
-    x, y = _window_slice(trace, window, 16)
-    off0 = float(np.median(y))
+    blocks, errors = _window_blocks(trace, [window], 16)
+    if errors:
+        raise errors[0]
+    ((_, (x,), (y,), (off0,)),) = blocks
     idx = _prominent_peaks(y, 0.05 * np.ptp(y))
-    idx = sorted(idx, key=lambda i: -y[i])[:2]
-    if len(idx) == 0:
-        idx = [int(np.argmax(y))]
-    if len(idx) == 2:
-        i1, i2 = sorted(idx)
-        a1 = float(y[i1] - off0)
-        a2 = float(y[i2] - off0)
-        w1 = _half_height_width(x, y, i1, off0, a1)
-        w2 = _half_height_width(x, y, i2, off0, a2)
-        init = (float(x[i1]), w1, a1, float(x[i2]), w2, a2, off0)
+    idx = np.sort(sorted(idx, key=lambda i: -y[i])[:2] or [int(np.argmax(y))])
+    amps = y[idx] - off0
+    rows = (np.broadcast_to(v, (idx.size, v.size)) for v in (x, y))
+    widths = _half_height_width(*rows, idx, off0, amps)
+    i1, a1, w1 = idx[0], float(amps[0]), widths[0]
+    if idx.size == 2:
+        init = (float(x[i1]), w1, a1, float(x[idx[1]]), widths[1], float(amps[1]), off0)
     else:
-        i1 = idx[0]
-        a1 = float(y[i1] - off0)
-        w1 = _half_height_width(x, y, i1, off0, a1)
         f2 = float(x[i1]) + (x[-1] - x[0]) / 4.0
         f2 = min(max(f2, float(x[0])), float(x[-1]))
         init = (float(x[i1]), w1, a1, f2, w1, a1 / 100.0, off0)
@@ -491,14 +505,11 @@ def k_squared(v: VelocityPair) -> float:
 # Report pipeline
 
 
-def _peak_windows(x, peak_freqs, spacing):
-    """Symmetric fit windows around each peak, at least 9 samples wide."""
-    step = float(np.median(np.diff(x)))
+def _peak_windows(x, step, peak_freqs, spacing) -> np.ndarray:
+    """Symmetric (lo, hi) fit windows around each peak, at least 9 samples wide."""
     half = max(0.35 * spacing, 4.5 * step)
-    for f in peak_freqs:
-        lo = max(f - half, float(x[0]))
-        hi = min(f + half, float(x[-1]))
-        yield lo, hi
+    f = np.asarray(peak_freqs, dtype=float)
+    return np.column_stack([np.maximum(f - half, x[0]), np.minimum(f + half, x[-1])])
 
 
 def cavity_report(
@@ -547,21 +558,14 @@ def cavity_report(
         )
     raw_spacing = float(np.median(np.diff(raw_peaks)))
 
-    # every candidate's window first, then all fits in one stacked call
-    outcomes: List[Union[FitError, ArgumentError, None]] = []
-    starts = []
-    for window in _peak_windows(sweep.freqs, raw_peaks, raw_spacing):
-        try:
-            starts.append(_lorentzian_start(trace, window))
-            outcomes.append(None)
-        except (FitError, ArgumentError) as exc:
-            outcomes.append(exc)
-    fitted = iter(_fit_peaks("lorentzian", starts))
+    # every candidate's start first, then all fits in one stacked call
+    starts = _lorentzian_starts(trace, _peak_windows(sweep.freqs, step, raw_peaks, raw_spacing))
+    fitted = iter(_fit_peaks("lorentzian", [s for s in starts if isinstance(s, tuple)]))
     peaks: List[LorentzianPeak] = []
     mode_fits: List[FitResult] = []
     rejected: List[Tuple[float, str]] = []
-    for f, outcome in zip(raw_peaks, outcomes):
-        if outcome is None:
+    for f, outcome in zip(raw_peaks, starts):
+        if isinstance(outcome, tuple):
             outcome = next(fitted)
         if isinstance(outcome, FitResult):
             peaks.append(_lorentzian_peak(outcome.params))
@@ -590,10 +594,9 @@ def cavity_report(
     q_internal: List[Tuple[float, float]] = []
     if sweep.has_pair((1, 1)):
         s11 = np.abs(sweep.pair((1, 1)))
-        for p, window in zip(peaks, _peak_windows(sweep.freqs, f0s, fsr)):
-            mask = (sweep.freqs >= window[0]) & (sweep.freqs <= window[1])
-            dip = float(np.min(s11[mask]))
-            dip = min(dip, 1.0)
+        start, stop = _sample_ranges(sweep.freqs, _peak_windows(sweep.freqs, step, f0s, fsr))
+        for p, a, b in zip(peaks, start.tolist(), stop.tolist()):
+            dip = min(float(np.min(s11[a:b])), 1.0)
             q_internal.append((p.f0, q_internal_from_reflection(p.q_loaded(), dip, convention)))
 
     qp = None

@@ -415,7 +415,7 @@ class TestLeastSquaresStack:
         model, jac = poisoned_lorentzian({float(row[0]): k for row, k in zip(xs, kinds)})
         ys = lorentzian(xs, np.array(TRUE_PARAMS["lorentzian"])[:, None, None])
         ys = ys + rng.normal(scale=1e-2, size=ys.shape)
-        inits = np.tile([0.3, 0.5, 1.5, 0.1], (len(kinds), 1)) + 0.01 * np.arange(len(kinds))[:, None]
+        inits = np.tile([0.3, 0.5, 1.5, 0.1], (9, 1)) + 0.01 * np.arange(9)[:, None]
         lo = np.array([-1.0, 1e-3, -np.inf, -np.inf])
         hi = np.array([1.0, 10.0, np.inf, np.inf])
 
@@ -445,6 +445,56 @@ class TestLeastSquaresStack:
         assert outcome["stall"].iterations == MAX_ITERATIONS
         for k in ("zero", "singular", "uphill", "stall"):
             assert not outcome[k].converged and outcome[k].covariance is None
+
+    def test_ragged_rows_are_their_solo_fits(self):
+        # the short rows are padded to 101 samples; a dot product over a padded
+        # row of 73 samples can sum in other SIMD lanes than over the row alone
+        kinds = ["good", "nan", "good", "zero", "singular", "good", "uphill", "stall", "good"]
+        sizes = [73, 64, 101, 73, 101, 64, 101, 64, 73]
+        rng = np.random.default_rng(13)
+        xs = [np.linspace(-3.0, 3.0, n) + 1e-3 * i for i, n in enumerate(sizes)]
+        true = TRUE_PARAMS["lorentzian"]
+        ys = [lorentzian(x, true) + rng.normal(scale=1e-2, size=x.size) for x in xs]
+        model, jac = poisoned_lorentzian({float(x[0]): k for x, k in zip(xs, kinds)})
+        inits = np.tile([0.3, 0.5, 1.5, 0.1], (9, 1)) + 0.01 * np.arange(9)[:, None]
+        lo = np.array([-1.0, 1e-3, -np.inf, -np.inf])
+        hi = np.array([1.0, 10.0, np.inf, np.inf])
+
+        results = least_squares_stack(model, xs, ys, inits, lo, hi, jacobian=jac)
+        for x, y, init, result in zip(xs, ys, inits, results):
+            assert_same_fit(result, reference_outcome(
+                lambda x, p: model(x[None], p[:, None, None])[0], x, y, init, lo, hi,
+                lambda x, p: jac(x[None], p[:, None, None])[0],
+            ))
+        # every poison still bites, on rows padded or not
+        good = [r for k, r in zip(kinds, results) if k == "good"]
+        assert all(r.converged and r.covariance is not None for r in good)
+        outcome = dict(zip(kinds, results))
+        assert str(outcome["nan"]) == "non-finite model output during fit"
+        assert outcome["zero"].message == "singular normal equations: jacobian is identically zero"
+        assert outcome["singular"].message == "singular normal equations"
+        assert outcome["uphill"].message == "damping exhausted without an acceptable step"
+        assert outcome["stall"].message == "max iterations reached"
+
+    def test_ragged_rows_are_checked_row_by_row(self):
+        x2, x5 = np.array([0.0, 1.0]), np.linspace(0.0, 1.0, 5)
+        p0 = np.zeros((2, 2))
+        with pytest.raises(ArgumentError, match="at least as many points as parameters"):
+            least_squares_stack(line, [x5, x5[:1]], [x5, x5[:1]], p0, jacobian=line_jacobian)
+        with pytest.raises(ArgumentError, match="differ in shape"):
+            least_squares_stack(line, [x5, x5[:4]], [x5[:4], x5], p0, jacobian=line_jacobian)
+        # a row of exactly k samples fits exactly and has no covariance, beside one that has
+        y5 = 1.0 + 2.0 * x5 + np.array([0.01, -0.02, 0.0, 0.02, -0.01])
+        exact, noisy = least_squares_stack(
+            line, [x2, x5], [1.0 + 2.0 * x2, y5], np.zeros((2, 2)), jacobian=line_jacobian
+        )
+        assert exact.converged and exact.covariance is None
+        assert noisy.converged and noisy.covariance is not None
+        open_bounds = np.full(2, -np.inf), np.full(2, np.inf)
+        for x, y, result in ((x2, 1.0 + 2.0 * x2, exact), (x5, y5, noisy)):
+            assert_same_fit(result, serial_least_squares(
+                line, x, y, np.zeros(2), *open_bounds, line_jacobian
+            ))
 
     def test_non_finite_jacobian_fails_its_row_only(self):
         x = np.linspace(-3.0, 3.0, 41)

@@ -448,6 +448,88 @@ def old_report_csv(report):
     return "".join(lines).encode()
 
 
+def reference_lorentzian_start(trace, window):
+    """One window's Lorentzian fit start as it was taken window by window, kept as the reference.
+
+    A boolean mask over the whole trace selects the samples; the median,
+    argmax and half-height walk run on that one window.
+    """
+    lo, hi = window
+    if not (lo < hi):
+        raise ArgumentError("window must satisfy lo < hi")
+    mask = (trace.x >= lo) & (trace.x <= hi)
+    if int(mask.sum()) < 8:
+        raise ArgumentError(f"window contains {int(mask.sum())} samples, needs at least 8")
+    y = np.abs(trace.y) if np.iscomplexobj(trace.y) else np.asarray(trace.y, float)
+    x, y = trace.x[mask], y[mask]
+    scale = max(abs(float(np.median(y))), float(np.ptp(y)), 1.0)
+    if np.ptp(y) <= 1e-14 * scale:
+        raise FitError("degenerate fit: trace is flat in the window")
+    i_max = int(np.argmax(y))
+    off0 = float(np.median(y))
+    amp0 = float(y[i_max] - off0)
+    level = off0 + amp0 / 2.0
+    j = k = i_max
+    while j > 0 and y[j] > level:
+        j -= 1
+    while k < y.size - 1 and y[k] > level:
+        k += 1
+    width = x[k] - x[j]
+    if width <= 0:
+        width = (x[-1] - x[0]) / 6.0
+    return x, y, window, (float(x[i_max]), width, amp0, off0)
+
+
+class TestLorentzianStarts:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("cavity", ["paper", "high_finesse"])
+    def test_batched_starts_are_the_per_window_starts(self, seed, cavity):
+        # the benchmark's cavity_fits fixtures for this seed
+        if cavity == "paper":
+            sweep = paper_cavity_sweep(seed=3 * seed)
+        else:
+            sweep = paper_cavity_sweep(r=0.95, alpha_db_mm=0.5, seed=3 * seed + 1)
+        x = sweep.freqs
+        step = float(np.median(np.diff(x)))
+        y = np.abs(sweep.pair((2, 1)))
+        # a flat stretch, for the degenerate windows
+        y[2000:2100] = 0.25
+        trace = Series(x, y)
+        windows = []
+        for prominence, spacing in ((0.1 * float(np.ptp(y)), 5 * step), (0.0, 5e6)):
+            raw = find_peaks(trace, prominence, spacing)
+            spacing = float(np.median(np.diff(raw)))
+            windows += specanalysis._peak_windows(x, step, raw, spacing).tolist()
+        windows += [
+            (x[0], x[0] + 20 * step), (x[-1] - 9.5 * step, x[-1]), (x[-1] - 7 * step, x[-1] + 1e6),
+            (x[100], x[103]), (x[100], x[106] + step / 2), (x[-1] + 1.0, x[-1] + 1e6),
+            (x[2010], x[2080]), (x[2050], x[2099]), (x[2090], x[2200]),
+        ]
+        starts = specanalysis._lorentzian_starts(trace, windows)
+        assert len(starts) == len(windows)
+        errors = set()
+        for window, start in zip(windows, starts):
+            try:
+                ref_x, ref_y, _, ref_init = reference_lorentzian_start(trace, window)
+            except (ArgumentError, FitError) as exc:
+                assert type(start) is type(exc) and str(start) == str(exc)
+                errors.add(str(exc).split(" samples")[0])
+                continue
+            got_x, got_y, got_window, got_init = start
+            assert got_x.tobytes() == ref_x.tobytes() and got_y.tobytes() == ref_y.tobytes()
+            assert got_init.tobytes() == np.array(ref_init, dtype=float).tobytes()
+            assert tuple(got_window) == tuple(window)
+        assert errors == {
+            "window contains 4", "window contains 7", "window contains 0",
+            "degenerate fit: trace is flat in the window",
+        }
+        for window in ((x[100], x[100]), (x[101], x[100])):
+            with pytest.raises(ArgumentError, match="^window must satisfy lo < hi$"):
+                reference_lorentzian_start(trace, window)
+            with pytest.raises(ArgumentError, match="^window must satisfy lo < hi$"):
+                specanalysis._lorentzian_starts(trace, [window])
+
+
 class TestCavityReport:
     def test_transmission_comb(self):
         freqs, y, centers = comb_trace()
@@ -518,7 +600,8 @@ class TestCavityReport:
         report = cavity_report(sweep, GEOM)
         trace = Series(sweep.freqs, np.abs(sweep.pair((2, 1))))
         raw = find_peaks(trace, 0.1 * float(np.ptp(trace.y)), 5 * float(np.median(np.diff(sweep.freqs))))
-        windows = list(specanalysis._peak_windows(sweep.freqs, raw, float(np.median(np.diff(raw)))))
+        step, spacing = float(np.median(np.diff(sweep.freqs))), float(np.median(np.diff(raw)))
+        windows = list(specanalysis._peak_windows(sweep.freqs, step, raw, spacing))
         # record the FitResult each per-mode fit_lorentzian call drops
         solo = []
         stack = specanalysis.numerics.least_squares_stack

@@ -1,10 +1,12 @@
 """Hash every output of a fixed set of `sawkit` CLI calls.
 
 Prints one `<call> <file> <sha256>` line per output file, with `<stdout>`
-standing for the call's standard output. The calls are the README
-session that the benchmark's `cli_script` workload replays (its
-`CLI_CYCLE` on fixtures built by its `CliScript` set-up), then a few
-calls that exercise flags the session does not reach.
+and `<stderr>` standing for the call's standard output and standard
+error, so warnings such as a left-out cavity candidate are checked too.
+The calls are the README session that the benchmark's `cli_script`
+workload replays (its `CLI_CYCLE` on fixtures built by its `CliScript`
+set-up), then a few calls that exercise flags the session does not
+reach.
 
 The `sawkit` package that runs is the one on PYTHONPATH, so two
 checkouts can be compared output for output:
@@ -218,10 +220,11 @@ def main(argv=None) -> int:
                 failed = True
                 print(f"{name}: exit {proc.returncode}: {proc.stderr.decode().strip()}",
                       file=sys.stderr)
-            # output paths echoed on stdout name the temporary work directory
-            stdout = proc.stdout.replace(str(work).encode(), b"<work>")
-            stdout = stdout.replace(str(fixtures).encode(), b"<fixtures>")
-            print(f"{name} <stdout> {sha256(stdout)}")
+            # output paths echoed on stdout or stderr name the temporary work directory
+            for stream, data in (("<stdout>", proc.stdout), ("<stderr>", proc.stderr)):
+                data = data.replace(str(work).encode(), b"<work>")
+                data = data.replace(str(fixtures).encode(), b"<fixtures>")
+                print(f"{name} {stream} {sha256(data)}")
             for path in sorted(out_dir.iterdir()):
                 print(f"{name} {path.name} {sha256(path.read_bytes())}")
     finally:
