@@ -8,7 +8,7 @@ normal matrix with one np.matmul and solves every active row's damped
 system with one stacked np.linalg.solve, while each row keeps its own
 damping, step acceptance, convergence test and iteration budget, and a
 failure ends only its own row. Shorter rows are padded with masked exact
-zeros, so each row's result is that of the row fitted alone.
+zeros; each row's result matched its solo fit bit for bit on one BLAS.
 least_squares is the same loop on a stack of one. There is no
 finite-difference fallback: every fit passes its model's analytic
 Jacobian, and SHIPPED_MODELS pairs each model with one; the shipped
@@ -215,10 +215,11 @@ def least_squares_stack(
 
     Rows may differ in length. Each is padded to the longest, x with
     copies of its last sample and y with zeros, and a 0/1 mask zeroes the
-    padded residuals and Jacobian rows, so J^T J and J^T r, summed in
-    sample order, gain exact zeros. r @ r, whose BLAS dot sums in lanes
-    set by its length, is summed over the row's own samples, and the
-    covariance uses the row's own n_i - k.
+    padded residuals and Jacobian rows, so J^T J and J^T r gain exact
+    zero terms. Bit identity with the unpadded row needs a BLAS that sums
+    them in sample order; it was checked on one x86-64 OpenBLAS only.
+    r @ r, whose BLAS dot sums in lanes set by its length, is summed over
+    the row's own samples, and the covariance uses the row's own n_i - k.
 
     Damped Gauss-Newton (Levenberg-Marquardt). Each round forms J^T J of
     the rows that took a step with one np.matmul, the same BLAS call per
@@ -229,7 +230,7 @@ def least_squares_stack(
     one. Trial steps are clipped into the bounds. A row converges on
     relative step < 1e-10 or relative residual-norm change < 1e-12
     within MAX_ITERATIONS steps. Each row's arithmetic is that of the
-    row fitted alone, so its result does not depend on the other rows.
+    row fitted alone, so on such a BLAS no row depends on the others.
 
     A failure ends only its own row. Returns one entry per row: a
     FitResult, with ``converged=False`` and a message when the normal
@@ -239,7 +240,10 @@ def least_squares_stack(
     raise ArgumentError, and a model or jacobian output of the wrong
     shape raises FitError, for the whole stack.
     """
-    xs, ys = [np.asarray(row, dtype=float) for row in x], [np.asarray(row) for row in y]
+    try:
+        xs, ys = [np.asarray(row, dtype=float) for row in x], [np.asarray(row) for row in y]
+    except TypeError:  # a scalar x or y has no rows
+        xs = ys = []
     if any(np.iscomplexobj(row) for row in ys):
         raise ArgumentError("least_squares fits real-valued data")
     p = np.array(initial_params, dtype=float)
@@ -254,13 +258,10 @@ def least_squares_stack(
     m, n, k = len(ys), int(lengths.max()), p.shape[1]
     if lengths.min() < k:
         raise ArgumentError("data must have at least as many points as parameters")
-    if lengths.min() == n:
-        x, y, mask = np.array(xs), np.array(ys, dtype=float), None
-    else:
-        # pad each shorter row to n samples, x with its last sample; mask is 0 there, 1 elsewhere
-        take = np.cumsum(lengths)[:, None] + np.minimum(np.arange(n) - lengths[:, None], -1)
-        mask = (np.arange(n) < lengths[:, None]).astype(float)
-        x, y = np.concatenate(xs)[take], np.concatenate(ys).astype(float)[take] * mask
+    # pad each shorter row to n samples, x with its last sample; mask is 0 there, 1 elsewhere
+    take = np.cumsum(lengths)[:, None] + np.minimum(np.arange(n) - lengths[:, None], -1)
+    mask = (np.arange(n) < lengths[:, None]).astype(float)
+    x, y = np.concatenate(xs)[take], np.concatenate(ys).astype(float)[take] * mask
     try:
         lo = np.broadcast_to(np.asarray(lower, dtype=float), p.shape)
         hi = np.broadcast_to(np.asarray(upper, dtype=float), p.shape)
@@ -291,7 +292,7 @@ def least_squares_stack(
         if f.shape != (rows.size, n):
             raise FitError("model output shape does not match data")
         finite = np.isfinite(f).all(axis=1)
-        r = f - y[rows] if mask is None else (f - y[rows]) * mask[rows]
+        r = (f - y[rows]) * mask[rows]
         if finite.all():
             return r, None
         stop(rows[~finite], "non-finite model output during fit", error=True)
@@ -300,9 +301,8 @@ def least_squares_stack(
     def squares(rows, r):
         # a short row's r @ r is summed over its own samples, as when it is fitted alone
         out = _row_dot(r, r)
-        if mask is not None:
-            for i in np.flatnonzero(lengths[rows] < n).tolist():
-                out[i] = r[i, :lengths[rows[i]]] @ r[i, :lengths[rows[i]]]
+        for i in np.flatnonzero(lengths[rows] < n).tolist():
+            out[i] = r[i, :lengths[rows[i]]] @ r[i, :lengths[rows[i]]]
         return out
 
     r, _ = residuals(np.arange(m), p)
@@ -330,8 +330,7 @@ def least_squares_stack(
             if not finite.all():
                 stop(rows[~finite], "non-finite jacobian during fit", error=True)
                 rows, J = rows[finite], J[finite]
-            if mask is not None:
-                J = J * mask[rows, :, None]
+            J = J * mask[rows, :, None]
             Jt = J.transpose(0, 2, 1)
             g[rows] = np.matmul(Jt, r[rows, :, None])[:, :, 0]
             A[rows] = np.matmul(Jt, J)
@@ -387,9 +386,7 @@ def least_squares_stack(
     covariance = [None] * m
     done = np.flatnonzero(converged & (lengths > k))
     if done.size:
-        J = np.asarray(jacobian(x[done], p[done].T[..., None]), dtype=float)
-        if mask is not None:
-            J = J * mask[done, :, None]
+        J = np.asarray(jacobian(x[done], p[done].T[..., None]), dtype=float) * mask[done, :, None]
         inverse, singular = _solve_stack(
             np.matmul(J.transpose(0, 2, 1), J), np.broadcast_to(eye, (done.size, k, k))
         )

@@ -415,7 +415,7 @@ class TestLeastSquaresStack:
         model, jac = poisoned_lorentzian({float(row[0]): k for row, k in zip(xs, kinds)})
         ys = lorentzian(xs, np.array(TRUE_PARAMS["lorentzian"])[:, None, None])
         ys = ys + rng.normal(scale=1e-2, size=ys.shape)
-        inits = np.tile([0.3, 0.5, 1.5, 0.1], (9, 1)) + 0.01 * np.arange(9)[:, None]
+        inits = np.tile([0.3, 0.5, 1.5, 0.1], (len(kinds), 1)) + 0.01 * np.arange(len(kinds))[:, None]
         lo = np.array([-1.0, 1e-3, -np.inf, -np.inf])
         hi = np.array([1.0, 10.0, np.inf, np.inf])
 
@@ -456,7 +456,7 @@ class TestLeastSquaresStack:
         true = TRUE_PARAMS["lorentzian"]
         ys = [lorentzian(x, true) + rng.normal(scale=1e-2, size=x.size) for x in xs]
         model, jac = poisoned_lorentzian({float(x[0]): k for x, k in zip(xs, kinds)})
-        inits = np.tile([0.3, 0.5, 1.5, 0.1], (9, 1)) + 0.01 * np.arange(9)[:, None]
+        inits = np.tile([0.3, 0.5, 1.5, 0.1], (len(kinds), 1)) + 0.01 * np.arange(len(kinds))[:, None]
         lo = np.array([-1.0, 1e-3, -np.inf, -np.inf])
         hi = np.array([1.0, 10.0, np.inf, np.inf])
 
@@ -483,6 +483,9 @@ class TestLeastSquaresStack:
             least_squares_stack(line, [x5, x5[:1]], [x5, x5[:1]], p0, jacobian=line_jacobian)
         with pytest.raises(ArgumentError, match="differ in shape"):
             least_squares_stack(line, [x5, x5[:4]], [x5[:4], x5], p0, jacobian=line_jacobian)
+        for x, y in ((1.0, [x5, x5]), ([x5, x5], 1.0)):
+            with pytest.raises(ArgumentError, match="one data row and one parameter vector"):
+                least_squares_stack(line, x, y, p0, jacobian=line_jacobian)
         # a row of exactly k samples fits exactly and has no covariance, beside one that has
         y5 = 1.0 + 2.0 * x5 + np.array([0.01, -0.02, 0.0, 0.02, -0.01])
         exact, noisy = least_squares_stack(
