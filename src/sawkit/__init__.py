@@ -24,7 +24,7 @@ _HOMES = {
     ),
     "numerics": (
         "FitResult", "SHIPPED_MODELS", "Series", "bessel_j", "db_convert", "dft",
-        "grid_step", "least_squares", "least_squares_stack",
+        "grid_step", "least_squares_stack",
     ),
     "ingest": (
         "NetworkSweep", "parse_csv_sweep", "parse_touchstone", "write_csv",
@@ -32,10 +32,9 @@ _HOMES = {
     ),
     "specanalysis": (
         "CavityGeometry", "CavityReport", "LorentzianPeak", "cavity_report", "combine_q",
-        "estimate_fsr", "find_peaks", "finesse", "fit_double_lorentzian", "fit_lorentzian",
-        "k_squared", "mirror_reflectivity", "penetration_depth", "phase_velocity",
-        "q_internal_from_reflection", "q_mirror", "q_propagation", "report_csv",
-        "report_summary",
+        "estimate_fsr", "find_peaks", "finesse", "fit_lorentzian", "mirror_reflectivity",
+        "penetration_depth", "phase_velocity", "q_internal_from_reflection", "q_mirror",
+        "q_propagation", "report_csv", "report_summary",
     ),
     "timedomain": (
         "EchoPeak", "EchoTrain", "ImpulseResponse", "LossModel", "detect_echoes",

@@ -9,17 +9,17 @@ system with one stacked np.linalg.solve, while each row keeps its own
 damping, step acceptance, convergence test and iteration budget, and a
 failure ends only its own row. Shorter rows are padded with masked exact
 zeros; each row's result matched its solo fit bit for bit on one BLAS.
-least_squares is the same loop on a stack of one. There is no
-finite-difference fallback: every fit passes its model's analytic
-Jacobian, and SHIPPED_MODELS pairs each model with one; the shipped
-models evaluate a whole stack as well as a single fit.
+A single fit is a stack of one. There is no finite-difference fallback:
+every fit passes its model's analytic Jacobian, and SHIPPED_MODELS pairs
+each model with one; the shipped models evaluate a whole stack as well
+as a single fit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import ArgumentError, FitError, GridError
 __all__ = [
     "Series",
     "FitResult",
-    "least_squares",
     "least_squares_stack",
     "dft",
     "bessel_j",
@@ -36,11 +35,8 @@ __all__ = [
     "grid_step",
     "seeded_rng",
     "SHIPPED_MODELS",
-    "line",
     "lorentzian",
-    "double_lorentzian",
     "decaying_cosine",
-    "sqrt_power",
 ]
 
 
@@ -115,56 +111,6 @@ def seeded_rng(seed) -> np.random.Generator:
 
 # Gauss-Newton steps a fit may take before it is reported as not converged.
 MAX_ITERATIONS = 200
-
-
-def _normalize_bounds(bounds, n):
-    if bounds is None:
-        return np.full(n, -np.inf), np.full(n, np.inf)
-    if len(bounds) != n:
-        raise ArgumentError("bounds length must match parameter count")
-    lo = np.array([-np.inf if a is None else a for a, _ in bounds], dtype=float)
-    hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
-    return lo, hi
-
-
-def least_squares(
-    model: Callable,
-    data: Series,
-    initial_params: Sequence[float],
-    bounds=None,
-    *,
-    jacobian: Callable,
-) -> FitResult:
-    """Minimize sum of squared residuals of ``model(x, params) - y``.
-
-    jacobian(x, params) is the model's analytic (len(x), n_params) Jacobian.
-    Bounds, when given, are one (lower, upper) pair per parameter, None
-    for an open side.
-
-    This is least_squares_stack on a stack of one fit, with model and
-    jacobian called on data.x and a 1-D parameter vector, so its steps,
-    convergence tests and messages are those documented there. Returns
-    one FitResult; ``converged=False`` with a diagnostic message is
-    returned (not raised) when the normal equations go singular, the
-    damping runs out or the iteration budget does. Non-finite model
-    output or Jacobian raises FitError.
-    """
-    p = np.asarray(initial_params, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ArgumentError("initial_params must be a non-empty vector")
-    lo, hi = _normalize_bounds(bounds, p.size)
-    (result,) = least_squares_stack(
-        lambda x, cols: np.asarray(model(x[0], cols[:, 0, 0]), dtype=float)[None],
-        data.x[None],
-        np.asarray(data.y)[None],
-        p[None],
-        lo,
-        hi,
-        jacobian=lambda x, cols: np.asarray(jacobian(x[0], cols[:, 0, 0]), dtype=float)[None],
-    )
-    if isinstance(result, FitError):
-        raise result
-    return result
 
 
 def _row_dot(a, b):
@@ -245,7 +191,7 @@ def least_squares_stack(
     except TypeError:  # a scalar x or y has no rows
         xs = ys = []
     if any(np.iscomplexobj(row) for row in ys):
-        raise ArgumentError("least_squares fits real-valued data")
+        raise ArgumentError("least_squares_stack fits real-valued data")
     p = np.array(initial_params, dtype=float)
     rows_1d = ys and all(row.ndim == 1 for row in ys)
     if not rows_1d or p.ndim != 2 or p.shape[0] != len(ys) or p.shape[1] == 0:
@@ -518,17 +464,6 @@ def db_convert(value: float, mode: str) -> float:
 # and the Jacobian (m, n, n_params).
 
 
-def line(x, params):
-    """y = a + b x with params (a, b)."""
-    a, b = params
-    return a + b * np.asarray(x, dtype=float)
-
-
-def line_jacobian(x, params):
-    x = np.asarray(x, dtype=float)
-    return np.stack([np.ones_like(x), x], axis=-1)
-
-
 def lorentzian(x, params):
     """Peak on a flat offset: params (f0, fwhm, amplitude, offset)."""
     f0, fwhm, amplitude, offset = params
@@ -548,23 +483,6 @@ def lorentzian_jacobian(x, params):
     damp = q
     doff = np.ones_like(d)
     return np.stack([df0, dfwhm, damp, doff], axis=-1)
-
-
-def double_lorentzian(x, params):
-    """Two peaks sharing one offset: (f1, w1, a1, f2, w2, a2, offset)."""
-    f1, w1, a1, f2, w2, a2, offset = params
-    return (
-        lorentzian(x, (f1, w1, a1, 0.0))
-        + lorentzian(x, (f2, w2, a2, 0.0))
-        + offset
-    )
-
-
-def double_lorentzian_jacobian(x, params):
-    f1, w1, a1, f2, w2, a2, _ = params
-    j1 = lorentzian_jacobian(x, (f1, w1, a1, 0.0))
-    j2 = lorentzian_jacobian(x, (f2, w2, a2, 0.0))
-    return np.concatenate([j1[..., :3], j2[..., :3], j1[..., 3:]], axis=-1)
 
 
 def decaying_cosine(x, params):
@@ -588,20 +506,7 @@ def decaying_cosine_jacobian(x, params):
     return np.stack([df, dtau, damp, doff], axis=-1)
 
 
-def sqrt_power(x, params):
-    """y = c sqrt(x), params (c,); x is a power in linear units."""
-    (c,) = params
-    return c * np.sqrt(np.asarray(x, dtype=float))
-
-
-def sqrt_power_jacobian(x, params):
-    return np.sqrt(np.asarray(x, dtype=float))[..., None]
-
-
 SHIPPED_MODELS = {
-    "line": (line, line_jacobian),
     "lorentzian": (lorentzian, lorentzian_jacobian),
-    "double_lorentzian": (double_lorentzian, double_lorentzian_jacobian),
     "decaying_cosine": (decaying_cosine, decaying_cosine_jacobian),
-    "sqrt_power": (sqrt_power, sqrt_power_jacobian),
 }

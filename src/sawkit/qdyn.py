@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ArgumentError, FitError
-from .numerics import FitResult, Series, bessel_j, least_squares
+from .numerics import FitResult, Series, bessel_j
 
 __all__ = [
     "TwoLevelDrive",
@@ -156,9 +156,14 @@ def fit_rabi(trace: Series) -> RabiFit:
     span = float(t[-1] - t[0])
     init = (f0, span / 2.0, float(np.ptp(y)) / 2.0, float(y.mean()))
     dt = numerics.grid_step(t)
-    bounds = [(f0 / 4.0, f0 * 4.0), (dt * 1e-3, span * 1e6), (None, None), (None, None)]
+    lower = (f0 / 4.0, dt * 1e-3, -np.inf, -np.inf)
+    upper = (f0 * 4.0, span * 1e6, np.inf, np.inf)
     model, jacobian = numerics.SHIPPED_MODELS["decaying_cosine"]
-    result = least_squares(model, Series(t, y), init, bounds=bounds, jacobian=jacobian)
+    (result,) = numerics.least_squares_stack(
+        model, t[None], y[None], [init], lower, upper, jacobian=jacobian
+    )
+    if isinstance(result, FitError):
+        raise result
     if not result.converged:
         raise FitError(f"rabi fit did not converge: {result.message}", result)
     f, tau, amplitude, offset = (float(v) for v in result.params)
@@ -213,8 +218,7 @@ def sideband_spectrum(
     Sum over k in [-orders, orders] of J_k(mod_index)² times a
     unit-height Lorentzian at carrier + k mod_freq, so mod_index = 0
     leaves a single unit carrier. The weight model generates synthetic
-    optical spectra; measured spectra are fitted with double Lorentzians
-    instead.
+    optical spectra.
     """
     if orders < 0 or orders > 10:
         raise ArgumentError("orders must lie in 0..10")

@@ -1,7 +1,7 @@
 """Frequency-domain cavity characterization.
 
 Peak finding, Lorentzian fits, the FSR / penetration-depth / mirror
-reflectivity chain, the Q budget, finesse, phase velocity and k². The
+reflectivity chain, the Q budget, finesse and phase velocity. The
 `cavity_report` entry point composes the individual pieces over a
 measured or synthesized sweep.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,11 +26,8 @@ __all__ = [
     "LorentzianPeak",
     "CavityGeometry",
     "CavityReport",
-    "VelocityPair",
-    "DoubleLorentzianFit",
     "find_peaks",
     "fit_lorentzian",
-    "fit_double_lorentzian",
     "estimate_fsr",
     "penetration_depth",
     "mirror_reflectivity",
@@ -40,7 +37,6 @@ __all__ = [
     "q_internal_from_reflection",
     "finesse",
     "phase_velocity",
-    "k_squared",
     "cavity_report",
     "report_csv",
     "report_summary",
@@ -113,26 +109,6 @@ class CavityReport:
                     raise InconsistencyError(
                         "internal Q below loaded Q; check the reflection dip data"
                     )
-
-
-@dataclass
-class VelocityPair:
-    """Phase velocities over electrically open and shorted surfaces."""
-
-    v_open: float
-    v_short: float
-
-    def __post_init__(self):
-        if self.v_open <= 0 or self.v_short <= 0:
-            raise ArgumentError("velocities must be positive")
-        if self.v_short > self.v_open:
-            raise ArgumentError("v_short exceeds v_open; piezo stiffening forbids this")
-
-
-class DoubleLorentzianFit(NamedTuple):
-    lower: LorentzianPeak
-    upper: LorentzianPeak
-    degenerate: bool
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +246,8 @@ def _half_height_width(x, y, i_peak, offset, amplitude):
     return np.where(width <= 0, (x[:, -1] - x[:, 0]) / 6.0, width)
 
 
-def _fit_peaks(name: str, fits) -> List[Union[FitResult, FitError]]:
-    """Fit SHIPPED_MODELS[name], peaks on one offset, to each (x, y, window, init).
+def _fit_peaks(fits) -> List[Union[FitResult, FitError]]:
+    """Fit the Lorentzian (f0, fwhm, amplitude, offset) to each (x, y, window, init).
 
     Each f0 stays in its window and each fwhm in [step/1000, 10 span].
     Every fit goes into one least_squares_stack call, whatever its
@@ -281,19 +257,17 @@ def _fit_peaks(name: str, fits) -> List[Union[FitResult, FitError]]:
     """
     if not fits:
         return []
-    model, jacobian = numerics.SHIPPED_MODELS[name]
+    model, jacobian = numerics.SHIPPED_MODELS["lorentzian"]
     xs, ys, windows, inits = zip(*fits)
-    n_peaks = len(inits[0]) // 3
     window = np.array(windows, dtype=float)
     step = np.array([(x[1:] - x[:-1]).min() for x in xs])
     span = np.array([x[-1] - x[0] for x in xs])
     inf = np.full(len(fits), np.inf)
-    # per peak (f0, fwhm, amplitude), then the shared offset
-    lower = np.column_stack([window[:, 0], step * 1e-3, -inf] * n_peaks + [-inf])
-    upper = np.column_stack([window[:, 1], span * 10.0, inf] * n_peaks + [inf])
+    lower = np.column_stack([window[:, 0], step * 1e-3, -inf, -inf])
+    upper = np.column_stack([window[:, 1], span * 10.0, inf, inf])
     results = numerics.least_squares_stack(model, xs, ys, inits, lower, upper, jacobian=jacobian)
     return [
-        FitError(f"{name.replace('_', ' ')} fit did not converge: {result.message}", result)
+        FitError(f"lorentzian fit did not converge: {result.message}", result)
         if isinstance(result, FitResult) and not result.converged else result
         for result in results
     ]
@@ -332,41 +306,8 @@ def fit_lorentzian(trace: Series, window: Tuple[float, float]) -> LorentzianPeak
     non-converged fits with the FitResult attached.
     """
     (start,) = _lorentzian_starts(trace, [window])
-    (outcome,) = _fit_peaks("lorentzian", [_fitted(start)])
+    (outcome,) = _fit_peaks([_fitted(start)])
     return _lorentzian_peak(_fitted(outcome).params)
-
-
-def fit_double_lorentzian(trace: Series, window: Tuple[float, float]) -> DoubleLorentzianFit:
-    """Fit two Lorentzians sharing one offset; peaks returned by ascending f0.
-
-    The degenerate flag is set when one amplitude collapses below 1% of
-    the other, which is what single-peak data produces.
-    """
-    blocks, errors = _window_blocks(trace, [window], 16)
-    if errors:
-        raise errors[0]
-    ((_, (x,), (y,), (off0,)),) = blocks
-    idx = _prominent_peaks(y, 0.05 * np.ptp(y))
-    idx = np.sort(sorted(idx, key=lambda i: -y[i])[:2] or [int(np.argmax(y))])
-    amps = y[idx] - off0
-    rows = (np.broadcast_to(v, (idx.size, v.size)) for v in (x, y))
-    widths = _half_height_width(*rows, idx, off0, amps)
-    i1, a1, w1 = idx[0], float(amps[0]), widths[0]
-    if idx.size == 2:
-        init = (float(x[i1]), w1, a1, float(x[idx[1]]), widths[1], float(amps[1]), off0)
-    else:
-        f2 = float(x[i1]) + (x[-1] - x[0]) / 4.0
-        f2 = min(max(f2, float(x[0])), float(x[-1]))
-        init = (float(x[i1]), w1, a1, f2, w1, a1 / 100.0, off0)
-    (outcome,) = _fit_peaks("double_lorentzian", [(x, y, window, init)])
-    f1, w1, a1, f2, w2, a2, off = _fitted(outcome).params
-    first = _lorentzian_peak((f1, w1, a1, off))
-    second = _lorentzian_peak((f2, w2, a2, off))
-    if second.f0 < first.f0:
-        first, second = second, first
-    amps = sorted([abs(first.amplitude), abs(second.amplitude)])
-    degenerate = amps[1] == 0 or amps[0] < 1e-2 * amps[1]
-    return DoubleLorentzianFit(first, second, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +437,6 @@ def phase_velocity(f0: float, lambda0: float) -> float:
     return f0 * lambda0
 
 
-def k_squared(v: VelocityPair) -> float:
-    """Electromechanical coupling k² = 2 (v_open - v_short) / v_open."""
-    return 2.0 * (v.v_open - v.v_short) / v.v_open
-
-
 # ---------------------------------------------------------------------------
 # Report pipeline
 
@@ -560,7 +496,7 @@ def cavity_report(
 
     # every candidate's start first, then all fits in one stacked call
     starts = _lorentzian_starts(trace, _peak_windows(sweep.freqs, step, raw_peaks, raw_spacing))
-    fitted = iter(_fit_peaks("lorentzian", [s for s in starts if isinstance(s, tuple)]))
+    fitted = iter(_fit_peaks([s for s in starts if isinstance(s, tuple)]))
     peaks: List[LorentzianPeak] = []
     mode_fits: List[FitResult] = []
     rejected: List[Tuple[float, str]] = []

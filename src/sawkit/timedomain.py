@@ -154,9 +154,8 @@ def impulse_response(
     window: Optional[str] = "raised_cosine",
     edge_fraction: float = 0.1,
     oversample: int = 1,
-    pair: Tuple[int, int] = (2, 1),
 ) -> ImpulseResponse:
-    """Windowed inverse DFT of one S-parameter onto a uniform tau grid.
+    """Windowed inverse DFT of S21 onto a uniform tau grid.
 
     The default raised-cosine window tapers 10% of the band at each edge
     to suppress leakage into late-time bins; window='none' keeps the
@@ -165,7 +164,7 @@ def impulse_response(
     changing which physical delays exist.
     """
     df = grid_step(sweep.freqs)
-    s = sweep.pair(pair)
+    s = sweep.pair((2, 1))
     if not isinstance(oversample, (int, np.integer)) or oversample < 1:
         raise ArgumentError("oversample must be a positive integer")
     n = s.size
@@ -229,7 +228,6 @@ def detect_echoes(
     ir: ImpulseResponse,
     expected_round_trip: float,
     n_max: int,
-    refine: bool = True,
 ) -> EchoTrain:
     """Pick the strongest |h| sample near each predicted echo arrival.
 
@@ -237,9 +235,8 @@ def detect_echoes(
     expected_round_trip centered on the arrival at (2n+1)/2 round trips;
     times before a quarter round trip are excluded as electrical
     crosstalk. Magnitudes are normalized by the transform's window gain,
-    refined off-grid with a three-point parabola unless refine is false,
-    and flagged when they fall below three times the median magnitude of
-    the analysis region.
+    refined off-grid with a three-point parabola, and flagged when they
+    fall below three times the median magnitude of the analysis region.
     """
     if n_max < 0:
         raise ArgumentError("n_max must be nonnegative")
@@ -265,11 +262,8 @@ def detect_echoes(
                 "increase the band span or oversampling"
             )
         offset = a + int(np.argmax(mag[a:b]))
-        if refine:
-            tau_n, h_n = _refine_peak(mag, offset, dtau, 0.0)
-            tau_n = min(max(tau_n, lo), hi - dtau)
-        else:
-            tau_n, h_n = float(ir.tau[offset]), float(mag[offset])
+        tau_n, h_n = _refine_peak(mag, offset, dtau, 0.0)
+        tau_n = min(max(tau_n, lo), hi - dtau)
         found.append((tau_n, h_n))
 
     # the median partitions the analysis region of mag in place, so it

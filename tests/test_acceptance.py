@@ -234,17 +234,11 @@ def test_criterion_13_numeric_substrate():
 
         grids = {
             "lorentzian": np.linspace(-3.0, 3.0, 101),
-            "double_lorentzian": np.linspace(-4.0, 4.0, 161),
             "decaying_cosine": np.linspace(0.0, 3.0, 121),
-            "sqrt_power": np.linspace(0.1, 4.0, 60),
-            "line": np.linspace(-2.0, 2.0, 41),
         }
         params = {
             "lorentzian": (0.1, 0.35, 2.0, 0.2),
-            "double_lorentzian": (-0.6, 0.4, 1.5, 0.9, 0.3, 0.8, 0.05),
             "decaying_cosine": (1.7, 2.5, 0.8, 0.5),
-            "sqrt_power": (2.2,),
-            "line": (0.4, -1.2),
         }
         for name, (func, jac) in SHIPPED_MODELS.items():
             x = grids[name]

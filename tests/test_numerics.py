@@ -16,13 +16,9 @@ from sawkit.numerics import (
     decaying_cosine,
     dft,
     grid_step,
-    least_squares,
     least_squares_stack,
-    line,
-    line_jacobian,
     lorentzian,
     lorentzian_jacobian,
-    sqrt_power,
 )
 
 # Independently summed ascending series for J1(0.5), frozen as an oracle.
@@ -123,39 +119,59 @@ class TestDft:
             dft(np.zeros(4), "sideways")
 
 
+def line(x, params):
+    """y = a + b x with params (a, b): a linear test model, stack-native like the shipped ones."""
+    a, b = params
+    return a + b * np.asarray(x, dtype=float)
+
+
+def line_jacobian(x, params):
+    x = np.asarray(x, dtype=float)
+    return np.stack([np.ones_like(x), x], axis=-1)
+
+
+# the shipped models and the linear test model
+MODELS = {**SHIPPED_MODELS, "line": (line, line_jacobian)}
+
 TRUE_PARAMS = {
     "line": (0.7, -1.3),
     "lorentzian": (0.1, 0.35, 2.0, 0.2),
-    "double_lorentzian": (-0.6, 0.4, 1.5, 0.9, 0.3, 0.8, 0.05),
     "decaying_cosine": (1.7, 2.5, 0.8, 0.5),
-    "sqrt_power": (2.2,),
 }
 
 X_GRID = {
     "line": np.linspace(-2.0, 2.0, 41),
     "lorentzian": np.linspace(-3.0, 3.0, 101),
-    "double_lorentzian": np.linspace(-4.0, 4.0, 161),
     "decaying_cosine": np.linspace(0.0, 3.0, 121),
-    "sqrt_power": np.linspace(0.1, 4.0, 60),
 }
 
 
+def fit_one(model, x, y, init, lower=-np.inf, upper=np.inf, *, jacobian):
+    """least_squares_stack on a stack of one fit; a returned FitError is raised."""
+    (result,) = least_squares_stack(
+        model, np.asarray(x)[None], np.asarray(y)[None], np.asarray(init, dtype=float)[None],
+        lower, upper, jacobian=jacobian,
+    )
+    if isinstance(result, FitError):
+        raise result
+    return result
+
+
 class TestLeastSquares:
-    @pytest.mark.parametrize("name", sorted(SHIPPED_MODELS))
+    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_exact_recovery(self, name):
-        func, jac = SHIPPED_MODELS[name]
+        func, jac = MODELS[name]
         p_true = np.array(TRUE_PARAMS[name])
         x = X_GRID[name]
-        data = Series(x, func(x, p_true))
         init = p_true * 1.15 + 0.05
-        fit = least_squares(func, data, init, jacobian=jac)
+        fit = fit_one(func, x, func(x, p_true), init, jacobian=jac)
         assert fit.converged, fit.message
         assert np.allclose(fit.params, p_true, rtol=1e-6, atol=1e-8)
         assert fit.residual_norm < 1e-8
 
-    @pytest.mark.parametrize("name", sorted(SHIPPED_MODELS))
+    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_jacobian_matches_finite_differences(self, name):
-        func, jac = SHIPPED_MODELS[name]
+        func, jac = MODELS[name]
         p = np.array(TRUE_PARAMS[name])
         x = X_GRID[name]
         analytic = np.asarray(jac(x, p), dtype=float)
@@ -193,7 +209,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(5)
         x = np.linspace(0.0, 10.0, 200)
         y = line(x, (1.0, 0.5)) + rng.normal(scale=0.05, size=x.size)
-        fit = least_squares(line, Series(x, y), (0.0, 0.0), jacobian=line_jacobian)
+        fit = fit_one(line, x, y, (0.0, 0.0), jacobian=line_jacobian)
         assert fit.converged
         assert fit.covariance is not None
         assert fit.covariance.shape == (2, 2)
@@ -201,12 +217,13 @@ class TestLeastSquares:
 
     def test_bounds_are_respected(self):
         x = np.linspace(-2.0, 2.0, 50)
-        data = Series(x, lorentzian(x, (0.0, 0.5, 1.0, 0.0)))
-        fit = least_squares(
+        fit = fit_one(
             lorentzian,
-            data,
+            x,
+            lorentzian(x, (0.0, 0.5, 1.0, 0.0)),
             (0.4, 0.8, 0.5, 0.1),
-            bounds=[(0.2, 1.0), (0.1, 2.0), (0.0, 3.0), (-1.0, 1.0)],
+            (0.2, 0.1, 0.0, -1.0),
+            (1.0, 2.0, 3.0, 1.0),
             jacobian=lorentzian_jacobian,
         )
         assert 0.2 <= fit.params[0] <= 1.0
@@ -216,22 +233,19 @@ class TestLeastSquares:
             return np.full_like(np.asarray(x, float), np.nan)
 
         def bad_jacobian(x, params):
-            return np.ones((np.size(x), 1))
+            return np.ones(np.shape(x) + (1,))
 
-        with pytest.raises(FitError):
-            least_squares(bad, Series(np.arange(5.0), np.ones(5)), (1.0,), jacobian=bad_jacobian)
+        with pytest.raises(FitError, match="non-finite model output"):
+            fit_one(bad, np.arange(5.0), np.ones(5), (1.0,), jacobian=bad_jacobian)
 
     def test_jacobian_is_required(self):
         x = np.linspace(0.0, 1.0, 5)
         with pytest.raises(TypeError, match="jacobian"):
-            least_squares(line, Series(x, x), (0.0, 1.0))
+            least_squares_stack(line, x[None], x[None], [(0.0, 1.0)])
 
     def test_underdetermined_raises(self):
-        with pytest.raises(ArgumentError):
-            least_squares(
-                line, Series(np.array([0.0, 1.0]), np.array([0.0, 1.0])), (0.0, 1.0, 2.0),
-                jacobian=line_jacobian,
-            )
+        with pytest.raises(ArgumentError, match="at least as many points as parameters"):
+            fit_one(line, [0.0, 1.0], [0.0, 1.0], (0.0, 1.0, 2.0), jacobian=line_jacobian)
 
     def test_zero_direction_still_converges(self):
         # second parameter has no effect; diagonal damping keeps it solvable
@@ -239,10 +253,11 @@ class TestLeastSquares:
             return params[0] + 0.0 * params[1] + np.asarray(x, float)
 
         def degenerate_jacobian(x, params):
-            return np.column_stack([np.ones(np.size(x)), np.zeros(np.size(x))])
+            x = np.asarray(x, float)
+            return np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)
 
-        fit = least_squares(
-            degenerate, Series(np.arange(6.0), np.arange(6.0) + 2.0), (0.0, 1.0),
+        fit = fit_one(
+            degenerate, np.arange(6.0), np.arange(6.0) + 2.0, (0.0, 1.0),
             jacobian=degenerate_jacobian,
         )
         assert fit.converged
@@ -253,11 +268,9 @@ class TestLeastSquares:
             return np.zeros_like(np.asarray(x, float)) + 0.0 * params[0]
 
         def inert_jacobian(x, params):
-            return np.zeros((np.size(x), 1))
+            return np.zeros(np.shape(x) + (1,))
 
-        fit = least_squares(
-            inert, Series(np.arange(6.0), np.ones(6)), (1.0,), jacobian=inert_jacobian
-        )
+        fit = fit_one(inert, np.arange(6.0), np.ones(6), (1.0,), jacobian=inert_jacobian)
         assert not fit.converged
         assert "singular" in fit.message
 
@@ -391,9 +404,9 @@ def poisoned_lorentzian(kinds):
 
 
 class TestLeastSquaresStack:
-    @pytest.mark.parametrize("name", sorted(SHIPPED_MODELS))
+    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_stack_of_one_is_the_serial_fit(self, name):
-        func, jac = SHIPPED_MODELS[name]
+        func, jac = MODELS[name]
         p_true = np.array(TRUE_PARAMS[name])
         x = X_GRID[name]
         rng = np.random.default_rng(7)
@@ -404,7 +417,6 @@ class TestLeastSquaresStack:
         reference = serial_least_squares(func, x, y, init, lo, hi, jac)
         (stacked,) = least_squares_stack(func, x[None], y[None], init[None], jacobian=jac)
         assert_same_fit(stacked, reference)
-        assert_same_fit(least_squares(func, Series(x, y), init, jacobian=jac), reference)
         assert stacked.converged and stacked.covariance is not None
 
     def test_each_row_is_its_solo_fit(self):
@@ -486,6 +498,8 @@ class TestLeastSquaresStack:
         for x, y in ((1.0, [x5, x5]), ([x5, x5], 1.0)):
             with pytest.raises(ArgumentError, match="one data row and one parameter vector"):
                 least_squares_stack(line, x, y, p0, jacobian=line_jacobian)
+        with pytest.raises(ArgumentError, match="^least_squares_stack fits real-valued data$"):
+            least_squares_stack(line, [x5, x5], [x5, x5 + 0j], p0, jacobian=line_jacobian)
         # a row of exactly k samples fits exactly and has no covariance, beside one that has
         y5 = 1.0 + 2.0 * x5 + np.array([0.01, -0.02, 0.0, 0.02, -0.01])
         exact, noisy = least_squares_stack(
@@ -528,9 +542,6 @@ class TestLeastSquaresStack:
         with pytest.raises(ArgumentError, match="bound 1 has lower > upper"):
             least_squares_stack(line, x, x, np.zeros((2, 2)), [0.0, 1.0], [1.0, 0.0],
                                 jacobian=line_jacobian)
-        with pytest.raises(ArgumentError, match="bound 1 has lower > upper"):
-            least_squares(line, Series(x[0], x[0]), (0.0, 0.0), bounds=[(0.0, 1.0), (1.0, 0.0)],
-                          jacobian=line_jacobian)
 
 
 class TestBessel:
@@ -656,8 +667,3 @@ class TestModelShapes:
         t = np.array([1.0 / 3.0, 1.0, 5.0 / 3.0])
         y = decaying_cosine(t, (1.5, math.inf, 0.5, 0.5))
         assert np.allclose(y, 1.0, atol=1e-12)
-
-    def test_sqrt_power_through_origin(self):
-        y = sqrt_power(np.array([0.0, 4.0]), (3.0,))
-        assert y[0] == 0.0
-        assert y[1] == pytest.approx(6.0)

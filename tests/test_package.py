@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,20 @@ def test_exports_are_their_home_objects():
         assert obj is getattr(home, name), name
         # classes and functions are exported from the module defining them
         assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+
+
+def test_submodule_exports_exist_and_cover_the_package_table():
+    # an __all__ entry left behind by a deleted name fails here, not only
+    # when the name is looked up through the package
+    for info in pkgutil.iter_modules(sawkit.__path__):
+        module = importlib.import_module(f"sawkit.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
+    for home, names in sawkit._HOMES.items():
+        # errors has no __all__; the lookup test above covers its names
+        listed = getattr(importlib.import_module(f"sawkit.{home}"), "__all__", names)
+        missing = set(names) - set(listed)
+        assert not missing, (home, sorted(missing))
 
 
 def test_exports_are_listed_once_and_by_dir():

@@ -15,16 +15,13 @@ from sawkit.specanalysis import (
     CavityGeometry,
     CavityReport,
     LorentzianPeak,
-    VelocityPair,
     _prominent_peaks,
     cavity_report,
     combine_q,
     estimate_fsr,
     find_peaks,
     finesse,
-    fit_double_lorentzian,
     fit_lorentzian,
-    k_squared,
     mirror_reflectivity,
     penetration_depth,
     phase_velocity,
@@ -199,24 +196,6 @@ class TestScalarFormulas:
         assert phase_velocity(1.0, 1.0) == 1.0
         assert phase_velocity(3.83e9, 1.1e-6) == pytest.approx(4213.0, rel=1e-12)
 
-    def test_k_squared_values(self):
-        assert k_squared(VelocityPair(7000.0, 7000.0)) == 0.0
-        assert k_squared(VelocityPair(7000.0, 6125.0)) == pytest.approx(0.25, rel=1e-12)
-        assert k_squared(VelocityPair(6990.0, 6990.0 * 0.875)) == pytest.approx(
-            0.25, rel=1e-12
-        )
-
-    @given(v_open=st.floats(1e3, 1e4), frac=st.floats(0.5, 1.0), scale=st.floats(0.1, 10.0))
-    @settings(max_examples=200, deadline=None)
-    def test_k_squared_scale_invariant(self, v_open, frac, scale):
-        a = k_squared(VelocityPair(v_open, v_open * frac))
-        b = k_squared(VelocityPair(v_open * scale, v_open * frac * scale))
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_velocity_pair_ordering(self):
-        with pytest.raises(ArgumentError):
-            VelocityPair(6000.0, 6500.0)
-
     def test_geometry_validation(self):
         with pytest.raises(ArgumentError):
             CavityGeometry(d=-1e-6, lambda0=1.7e-6, n_mirror=40, v_g=6161.0)
@@ -386,40 +365,6 @@ class TestFitLorentzian:
         y = lorentz(x, 60.0, 4.0, 1.0) + lorentz(x, 140.0, 4.0, 0.7)
         peak = fit_lorentzian(Series(x, y), (100.0, 200.0))
         assert abs(peak.f0 - 140.0) < 0.1
-
-
-class TestFitDoubleLorentzian:
-    def test_well_split_pair(self):
-        x = np.linspace(0.0, 400.0, 3001)
-        y = lorentz(x, 180.0, 8.0, 1.0) + lorentz(x, 220.0, 8.0, 0.6) + 0.02
-        fit = fit_double_lorentzian(Series(x, y), (100.0, 300.0))
-        assert not fit.degenerate
-        assert fit.lower.f0 < fit.upper.f0
-        assert fit.lower.f0 == pytest.approx(180.0, rel=1e-3)
-        assert fit.upper.f0 == pytest.approx(220.0, rel=1e-3)
-        assert fit.lower.amplitude == pytest.approx(1.0, rel=1e-3)
-        assert fit.upper.amplitude == pytest.approx(0.6, rel=1e-3)
-
-    def test_single_peak_flags_degenerate(self):
-        x = np.linspace(0.0, 400.0, 2001)
-        y = lorentz(x, 200.0, 10.0, 1.0)
-        fit = fit_double_lorentzian(Series(x, y), (100.0, 300.0))
-        assert fit.degenerate
-        small = min(abs(fit.lower.amplitude), abs(fit.upper.amplitude))
-        big = max(abs(fit.lower.amplitude), abs(fit.upper.amplitude))
-        assert small <= 0.01 * big
-
-    def test_flat_trace_degenerate(self):
-        x = np.linspace(0.0, 400.0, 2001)
-        with pytest.raises(FitError, match="flat in the window"):
-            fit_double_lorentzian(Series(x, np.full(x.size, 0.3)), (100.0, 300.0))
-
-    def test_identical_overlap(self):
-        x = np.linspace(0.0, 400.0, 2001)
-        y = 2.0 * lorentz(x, 200.0, 10.0, 0.5)
-        fit = fit_double_lorentzian(Series(x, y), (100.0, 300.0))
-        near_equal = abs(fit.lower.f0 - fit.upper.f0) < 10.0
-        assert fit.degenerate or near_equal
 
 
 def make_sweep(pair, y, freqs):
@@ -650,8 +595,8 @@ class TestCavityReport:
         freqs, y, centers = comb_trace()
         fit = specanalysis._fit_peaks
 
-        def fit_first_only(name, fits):
-            first, *rest = fit(name, fits)
+        def fit_first_only(fits):
+            first, *rest = fit(fits)
             failure = FitError("lorentzian fit did not converge: max iterations reached")
             return [first] + [failure] * len(rest)
 

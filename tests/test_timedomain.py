@@ -250,7 +250,7 @@ def reference_impulse_response(sweep, window="raised_cosine", edge_fraction=0.1,
     return ImpulseResponse(tau=tau, h=h, window_gain=float(w.sum()) / math.sqrt(m))
 
 
-def reference_detect_echoes(ir, expected_round_trip, n_max, refine=True):
+def reference_detect_echoes(ir, expected_round_trip, n_max):
     """detect_echoes with a boolean mask per window and per noise region."""
     if n_max < 0:
         raise ArgumentError("n_max must be nonnegative")
@@ -275,11 +275,8 @@ def reference_detect_echoes(ir, expected_round_trip, n_max, refine=True):
                 "increase the band span or oversampling"
             )
         offset = int(np.argmax(np.where(mask, mag, -1.0)))
-        if refine:
-            tau_n, h_n = _refine_peak(mag, offset, dtau, 0.0)
-            tau_n = min(max(tau_n, lo), hi - dtau)
-        else:
-            tau_n, h_n = float(ir.tau[offset]), float(mag[offset])
+        tau_n, h_n = _refine_peak(mag, offset, dtau, 0.0)
+        tau_n = min(max(tau_n, lo), hi - dtau)
         peaks.append(EchoPeak(n=n, tau=tau_n, h_max=h_n / ir.window_gain,
                               below_noise_floor=h_n < noise_floor))
     if len(peaks) >= 2:
@@ -343,22 +340,20 @@ class TestTimeDomainOracle:
             rt = max(2.0 * dtau, period / data.draw(st.floats(min_value=1.0, max_value=60.0)))
         # past the last window that holds a sample, so exhaustion is reached
         n_max = data.draw(st.integers(min_value=0, max_value=int(period / rt) + 2), label="n_max")
-        refine = data.draw(st.booleans(), label="refine")
-        got = outcome(detect_echoes, ir, rt, n_max, refine=refine)
-        want = outcome(reference_detect_echoes, ref, rt, n_max, refine=refine)
+        got = outcome(detect_echoes, ir, rt, n_max)
+        want = outcome(reference_detect_echoes, ref, rt, n_max)
         if isinstance(want, tuple):
             assert got == want
         else:
             assert train_bits(got) == train_bits(want)
 
     @pytest.mark.parametrize("rt_steps", [1.5, 2.0, 2.5, 3.0])
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_round_trip_near_two_steps(self, rt_steps, refine):
+    def test_round_trip_near_two_steps(self, rt_steps):
         ir = synth_ir(n=257)
         rt = rt_steps * ir.step
         n_max = 200
-        got = outcome(detect_echoes, ir, rt, n_max, refine=refine)
-        want = outcome(reference_detect_echoes, ir, rt, n_max, refine=refine)
+        got = outcome(detect_echoes, ir, rt, n_max)
+        want = outcome(reference_detect_echoes, ir, rt, n_max)
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -370,10 +365,8 @@ class TestTimeDomainOracle:
                               edge_fraction=0.5)
         rt = 2 * REF_MODEL.length / V_G
         last = int(ir.tau[-1] // rt)
-        for refine in (True, False):
-            train = detect_echoes(ir, rt, last, refine=refine)
-            assert train_bits(train) == train_bits(
-                reference_detect_echoes(ir, rt, last, refine=refine))
+        train = detect_echoes(ir, rt, last)
+        assert train_bits(train) == train_bits(reference_detect_echoes(ir, rt, last))
         with pytest.raises(ResolutionError, match=f"no samples in echo window {last + 1} "):
             detect_echoes(ir, rt, last + 1)
 
