@@ -1,8 +1,10 @@
 """Instrument data ingestion and serialization.
 
 Two formats are supported: Touchstone v1 two-port files (.s2p) and a CSV
-sweep schema with named header columns. Both produce the canonical
-NetworkSweep; both writers round-trip through their parsers.
+sweep schema with fixed header columns. Both produce the canonical
+NetworkSweep; both writers round-trip through their parsers. The
+Touchstone reader takes RI, MA or DB data in HZ, KHZ, MHZ or GHZ; the
+writer always writes RI in GHz.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -232,11 +234,11 @@ def _complex_values(grid: np.ndarray, forms) -> np.ndarray:
     return values
 
 
-def _write_rows(freqs: np.ndarray, columns, form: str, sep: str) -> List[bytes]:
-    """Writer side of both formats: frequencies and S-value columns as text rows.
+def _write_rows(header: str, freqs: np.ndarray, columns, form: str, sep: str) -> bytes:
+    """Writer side of both formats: the header, then frequencies and S values as text rows.
 
-    form is 'RI', 'MA' or 'DB' as for _read_rows. The rows come from
-    textformat.format_rows: cells joined by sep, rows ending in a newline,
+    form is 'RI' or 'DB' as for _read_rows. The text comes from
+    textformat.format_table: cells joined by sep, rows ending in a newline,
     every number "%.17g". numpy rounds a cell's 17 digits itself where its
     longdouble product is farther from a rounding tie than the error
     bound 1e17 * finfo(longdouble).eps; undecided and non-finite cells,
@@ -248,7 +250,7 @@ def _write_rows(freqs: np.ndarray, columns, form: str, sep: str) -> List[bytes]:
     """
     # imported here, so a call that writes nothing neither loads the
     # formatter nor builds its tables
-    from .textformat import format_rows
+    from .textformat import format_table
 
     cells = [freqs]
     for v in columns:
@@ -256,12 +258,11 @@ def _write_rows(freqs: np.ndarray, columns, form: str, sep: str) -> List[bytes]:
             cells += (v.real, v.imag)
         else:
             mag = np.hypot(v.real, v.imag).tolist()
-            if form == "DB":
-                # floor far below any measurable level instead of -inf
-                mag = [20.0 * math.log10(a) if a > 0 else -400.0 for a in mag]
+            # floor far below any measurable level instead of -inf
+            db = [20.0 * math.log10(a) if a > 0 else -400.0 for a in mag]
             deg = map(math.degrees, map(math.atan2, v.imag.tolist(), v.real.tolist()))
-            cells += (mag, list(deg))
-    return format_rows(np.column_stack(cells), sep)
+            cells += (db, list(deg))
+    return format_table(header, np.column_stack(cells), sep)
 
 
 def parse_touchstone(data) -> NetworkSweep:
@@ -318,59 +319,28 @@ def parse_touchstone(data) -> NetworkSweep:
     return NetworkSweep(freqs=freqs, s=s, ref_impedance=impedance)
 
 
-def write_touchstone(sweep: NetworkSweep, unit: str = "GHZ", representation: str = "RI") -> bytes:
-    """Serialize a sweep as Touchstone v1 two-port text.
+def write_touchstone(sweep: NetworkSweep) -> bytes:
+    """Serialize a sweep as Touchstone v1 two-port text: '# GHZ S RI R <z>'.
 
     Port pairs absent from the sweep are written as zeros since the row
     grammar always carries all four. Values are printed with 17
-    significant digits so an RI round trip is exact.
+    significant digits so the round trip through parse_touchstone is exact.
     """
-    unit = unit.upper()
-    if unit not in _FREQ_UNITS:
-        raise ArgumentError(f"unknown frequency unit {unit!r}")
-    representation = representation.upper()
-    if representation not in ("RI", "MA", "DB"):
-        raise ArgumentError(f"unknown representation {representation!r}")
     head = f"! {sweep.label}\n" if sweep.label else ""
-    head += f"# {unit} S {representation} R {sweep.ref_impedance:.17g}\n"
+    head += f"# GHZ S RI R {sweep.ref_impedance:.17g}\n"
     zeros = np.zeros(sweep.freqs.size, dtype=complex)
     columns = [sweep.s.get(pair, zeros) for pair in PORT_PAIRS]
-    rows = _write_rows(sweep.freqs / _FREQ_UNITS[unit], columns, representation, " ")
-    return b"".join([head.encode(), *rows])
+    return _write_rows(head, sweep.freqs / 1e9, columns, "RI", " ")
 
 
-_CSV_SUFFIXES = ("re", "im", "db", "deg")
-
-
-def _canonical_roles():
-    roles = ["freq"]
-    for pair in PORT_PAIRS:
-        for suffix in _CSV_SUFFIXES:
-            roles.append(f"{pair_name(pair)}_{suffix}")
-    return roles
-
-
-def parse_csv_sweep(data, column_spec: Optional[Dict[str, str]] = None) -> NetworkSweep:
+def parse_csv_sweep(data) -> NetworkSweep:
     """Parse a CSV sweep with named header columns.
 
-    The default schema is ``freq_hz`` plus ``s{ij}_re``/``s{ij}_im`` or
-    ``s{ij}_db``/``s{ij}_deg`` per port pair. ``column_spec`` maps those
-    role names (using ``freq`` for the frequency column) to whatever the
-    file's headers actually are. Frequencies are always in Hz.
+    The schema is fixed: ``freq_hz`` in Hz plus ``s{ij}_re``/``s{ij}_im``
+    or ``s{ij}_db``/``s{ij}_deg`` per port pair present. Other columns are
+    ignored, wherever they stand.
     """
     text = _decode(data)
-    known = set(_canonical_roles())
-    mapping = {"freq": "freq_hz"}
-    for role in known - {"freq"}:
-        mapping[role] = role
-    if column_spec:
-        for role, header in column_spec.items():
-            if role not in known:
-                raise ArgumentError(
-                    f"unknown column role {role!r}; expected 'freq' or s<ij>_<re|im|db|deg>"
-                )
-            mapping[role] = header
-
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise FormatError("empty CSV input")
@@ -387,22 +357,14 @@ def parse_csv_sweep(data, column_spec: Optional[Dict[str, str]] = None) -> Netwo
     header = [h.strip() for h in csv_rows(lines[:1] if plain else lines)[0]]
     index = {name: i for i, name in enumerate(header)}
 
-    def column_for(role, required=False):
-        name = mapping[role]
-        if name in index:
-            return index[name]
-        if required or (column_spec and role in column_spec):
-            raise FormatError(
-                f"column {name!r} (for {role}) not found; available: {', '.join(header)}"
-            )
-        return None
-
-    fcol = column_for("freq", required=True)
+    if "freq_hz" not in index:
+        raise FormatError(
+            f"column 'freq_hz' (for freq) not found; available: {', '.join(header)}"
+        )
     pair_cols = {}
     for pair in PORT_PAIRS:
         base = pair_name(pair)
-        re_i, im_i = column_for(f"{base}_re"), column_for(f"{base}_im")
-        db_i, deg_i = column_for(f"{base}_db"), column_for(f"{base}_deg")
+        re_i, im_i, db_i, deg_i = (index.get(f"{base}_{x}") for x in ("re", "im", "db", "deg"))
         if re_i is not None or im_i is not None:
             if re_i is None or im_i is None:
                 raise FormatError(f"{base} needs both _re and _im columns")
@@ -417,7 +379,7 @@ def parse_csv_sweep(data, column_spec: Optional[Dict[str, str]] = None) -> Netwo
         raise FormatError(
             f"no S-parameter columns found; available: {', '.join(header)}"
         )
-    columns = (fcol, *(i for _, ia, ib in pair_cols.values() for i in (ia, ib)))
+    columns = (index["freq_hz"], *(i for _, ia, ib in pair_cols.values() for i in (ia, ib)))
     forms = [form for form, _, _ in pair_cols.values()]
 
     def data_rows():
@@ -469,5 +431,5 @@ def write_csv(sweep: NetworkSweep, which: Iterable[PortPair], representation: st
     header = ["freq_hz"]
     for pair in pairs:
         header += [f"{pair_name(pair)}_{suffix}" for suffix in suffixes]
-    rows = _write_rows(sweep.freqs, [sweep.s[pair] for pair in pairs], form, ",")
-    return b"".join([(",".join(header) + "\n").encode(), *rows])
+    columns = [sweep.s[pair] for pair in pairs]
+    return _write_rows(",".join(header) + "\n", sweep.freqs, columns, form, ",")

@@ -77,8 +77,12 @@ class FitResult:
     message: str = ""
 
 
-def grid_step(x, rel_tol: float = 1e-6) -> float:
-    """Spacing of a uniform grid; raises GridError if it varies or a point is not finite."""
+def grid_step(x) -> float:
+    """Spacing of a uniform grid: the mean step.
+
+    Raises GridError if a point is not finite, the grid does not rise, or
+    a step differs from the mean by more than 1e-6 of it.
+    """
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         raise ArgumentError("grid needs at least two points")
@@ -92,7 +96,7 @@ def grid_step(x, rel_tol: float = 1e-6) -> float:
         raise GridError("grid is not increasing")
     steps -= mean
     np.abs(steps, out=steps)
-    if steps.max() > rel_tol * abs(mean):
+    if steps.max() > 1e-6 * abs(mean):
         raise GridError("grid spacing is not uniform; resample first")
     return float(mean)
 

@@ -119,9 +119,8 @@ def simulate_rabi_trace(
     return Series(t, y)
 
 
-def _initial_rabi(t, y):
-    """Dominant non-DC bin of the zero-padded spectrum, log-parabola refined."""
-    dt = numerics.grid_step(t)
+def _initial_rabi(t, y, dt):
+    """Dominant non-DC bin of the zero-padded spectrum, log-parabola refined; dt is t's step."""
     detrended = y - y.mean()
     m = 4 * t.size
     mag = np.abs(np.fft.rfft(detrended, n=m))
@@ -152,10 +151,10 @@ def fit_rabi(trace: Series) -> RabiFit:
     """
     t = trace.x
     y = np.asarray(trace.y, dtype=float)
-    f0 = _initial_rabi(t, y)
+    dt = numerics.grid_step(t)
+    f0 = _initial_rabi(t, y, dt)
     span = float(t[-1] - t[0])
     init = (f0, span / 2.0, float(np.ptp(y)) / 2.0, float(y.mean()))
-    dt = numerics.grid_step(t)
     lower = (f0 / 4.0, dt * 1e-3, -np.inf, -np.inf)
     upper = (f0 * 4.0, span * 1e6, np.inf, np.inf)
     model, jacobian = numerics.SHIPPED_MODELS["decaying_cosine"]
@@ -237,10 +236,9 @@ def sideband_spectrum(
 
 def series_csv(series: Series, x_name: str = "x", y_name: str = "y") -> bytes:
     """Two-column CSV of a series, a complex one by its magnitude, as "%.17g"."""
-    from .textformat import format_rows  # loaded by the first write, as in ingest
+    from .textformat import format_table  # loaded by the first write, as in ingest
 
     y = series.y
     if np.iscomplexobj(y):
         y = np.hypot(y.real, y.imag)
-    rows = format_rows(np.column_stack((series.x, y)), ",")
-    return b"".join([f"{x_name},{y_name}\n".encode(), *rows])
+    return format_table(f"{x_name},{y_name}\n", np.column_stack((series.x, y)), ",")

@@ -557,13 +557,14 @@ def report_csv(report: CavityReport) -> bytes:
 
     A mode without an internal Q (no reflection data) has an empty cell.
     """
-    from .textformat import format_rows  # loaded by the first write, as in ingest
+    from .textformat import format_table  # loaded by the first write, as in ingest
 
     internal = dict(report.q_internal)
     f0, ql = np.array(report.q_loaded, dtype=float).reshape(-1, 2).T
     qi = [internal.get(f, math.nan) for f in f0.tolist()]
-    rows = b"".join(format_rows(np.column_stack((f0, f0 / ql, ql, qi)), ","))
-    return b"f0_hz,fwhm_hz,q_loaded,q_internal\n" + rows.replace(b",nan\n", b",\n")
+    grid = np.column_stack((f0, f0 / ql, ql, qi))
+    text = format_table("f0_hz,fwhm_hz,q_loaded,q_internal\n", grid, ",")
+    return text.replace(b",nan\n", b",\n")
 
 
 def report_summary(report: CavityReport) -> str:

@@ -8,11 +8,10 @@ module is imported on the first write, and builds its lookup tables then.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import List
 
 import numpy as np
 
-# cells formatted per call in format_rows; bounds its temporaries to a few MB
+# cells formatted per block in format_table; bounds its temporaries to a few MB
 _WRITE_CELLS = 8192
 
 # Largest error of a cell's digit string D = |x| * 10^(16 - k) < 1e17 in
@@ -26,7 +25,7 @@ _K_MIN, _K_MAX = -325, 309
 
 
 def _build_tables() -> SimpleNamespace:
-    """Lookup tables of format_rows.
+    """Lookup tables of format_table.
 
     Per decimal exponent k, at i = k - _K_MIN:
     - pow10[i], 10^(16 - k) correctly rounded to longdouble;
@@ -163,8 +162,8 @@ def _format_cells(x: np.ndarray, seps: np.ndarray) -> bytes:
     return flat[flat != 0].tobytes()
 
 
-def format_rows(grid: np.ndarray, sep: str) -> List[bytes]:
-    """Rows of a float grid as text, in blocks of bytes: C's "%.17g" per cell.
+def format_table(header: str, grid: np.ndarray, sep: str) -> bytes:
+    """header, then the rows of a float grid as text: C's "%.17g" per cell.
 
     Cells are joined by sep and every row ends in a newline. The bytes
     are those of "%.17g" % x, which Python rounds correctly: 17
@@ -187,7 +186,8 @@ def format_rows(grid: np.ndarray, sep: str) -> List[bytes]:
     row_seps = np.frombuffer((sep * (cols - 1) + "\n").encode(), dtype=np.uint8)
     # each separator in the top byte of a cell's last word
     seps = np.tile(row_seps.astype(np.uint64) << np.uint64(56), min(rows, step))
-    return [
+    blocks = (
         _format_cells(block.ravel(), seps[:block.size])
         for block in (grid[start:start + step] for start in range(0, rows, step))
-    ]
+    )
+    return b"".join([header.encode(), *blocks])

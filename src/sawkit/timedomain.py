@@ -397,7 +397,6 @@ def synthesize_echo_network(
     idt_response: Optional[Tuple[float, float]] = None,
     noise_sigma: float = 0.0,
     seed: Optional[int] = None,
-    label: str = "synthetic echo network",
 ) -> NetworkSweep:
     """Forward model: S21 as a sum of delayed, attenuated echo arrivals.
 
@@ -457,7 +456,7 @@ def synthesize_echo_network(
             rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
         )
     s = {(2, 1): s21, (1, 2): s21.copy()}
-    return NetworkSweep(freqs=f, s=s, label=label)
+    return NetworkSweep(freqs=f, s=s, label="synthetic echo network")
 
 
 def echo_train_csv(train: EchoTrain) -> bytes:
@@ -465,7 +464,7 @@ def echo_train_csv(train: EchoTrain) -> bytes:
 
     2 ln magnitude is -inf for a zero magnitude.
     """
-    from .textformat import format_rows  # loaded by the first write, as in ingest
+    from .textformat import format_table  # loaded by the first write, as in ingest
 
     peaks = train.peaks
     grid = np.column_stack((
@@ -475,7 +474,7 @@ def echo_train_csv(train: EchoTrain) -> bytes:
         # math.log, not np.log, whose SIMD kernels do not promise the same last bit
         [2.0 * math.log(p.h_max) if p.h_max > 0 else -math.inf for p in peaks],
     ))
-    return b"".join([b"n,tau_ns,h_max,2ln_h_max\n", *format_rows(grid, ",")])
+    return format_table("n,tau_ns,h_max,2ln_h_max\n", grid, ",")
 
 
 def loss_model_summary(model: LossModel) -> str:

@@ -655,3 +655,24 @@ class TestCavityReport:
         text = report_summary(report)
         for key in ("fsr", "l_p", "r_s", "q_mirror", "q_propagation", "finesse"):
             assert key in text
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the Lorentzian is fitted to |S21|, not |S21|²")
+def test_loaded_q_matches_closed_form_linewidth():
+    """Each mode's f0 / Q_loaded is the Fabry–Pérot linewidth of |S21|².
+
+    For a round-trip amplitude rho = R e^(-alpha L) the power transmission
+    has FWHM 2 asin((1 - rho) / (2 sqrt(rho))) FSR / pi, FSR = v_g / (2 L).
+    Checked on the noiseless paper cavity and the high-finesse one.
+    """
+    length, v_g = 58.565e-6, 6161.0
+    fsr = v_g / (2.0 * length)
+    for r, alpha_db_mm in ((0.6, 2.0), (0.95, 0.5)):
+        alpha = db_convert(alpha_db_mm, "db_per_mm_to_per_m_power")
+        model = LossModel(t=0.3, r=r, alpha=alpha, length=length)
+        sweep = synthesize_echo_network(model, v_g, (2.8e9, 4.8e9), 4001)
+        report = cavity_report(sweep, GEOM, alpha_db_per_mm=alpha_db_mm)
+        rho = r * math.exp(-alpha * length)
+        expected = 2.0 * math.asin((1.0 - rho) / (2.0 * math.sqrt(rho))) * fsr / math.pi
+        fwhm = np.median([f0 / q for f0, q in report.q_loaded])
+        assert fwhm == pytest.approx(expected, rel=0.05), (r, alpha_db_mm)

@@ -19,9 +19,9 @@ def percent_cells(values):
 
 
 def assert_cells_match(values, cols=1, sep=","):
-    """format_rows against "%.17g" % x, cell for cell, on a (-1, cols) grid."""
+    """format_table against "%.17g" % x, cell for cell, on a (-1, cols) grid."""
     grid = np.asarray(values, dtype=float).reshape(-1, cols)
-    text = b"".join(textformat.format_rows(grid, sep))
+    text = textformat.format_table("", grid, sep)
     assert text.endswith(b"\n") or not grid.size
     rows = text.split(b"\n")[:-1]
     assert len(rows) == grid.shape[0]
@@ -82,7 +82,7 @@ class TestFormatRows:
         assert_cells_match(values[: values.size // 4 * 4], cols=4, sep=" ")
 
     def test_negative_zero_and_non_finite(self):
-        text = b"".join(textformat.format_rows(np.array([[-0.0, math.inf, -math.inf, math.nan]]), ","))
+        text = textformat.format_table("", np.array([[-0.0, math.inf, -math.inf, math.nan]]), ",")
         assert text == b"-0,inf,-inf,nan\n"
 
     @given(st.lists(st.floats(), min_size=1, max_size=64))
@@ -95,16 +95,15 @@ class TestFormatRows:
         rng = np.random.default_rng(7)
         values = np.concatenate([format_edge_values(), rng.normal(size=4000) * 10.0 ** rng.integers(-30, 30, 4000)])
         grid = values[: values.size // 3 * 3].reshape(-1, 3)
-        fast = b"".join(textformat.format_rows(grid, ","))
+        fast = textformat.format_table("", grid, ",")
         with mock.patch.object(textformat, "_ROUND_BOUND", 0.5):
-            slow = b"".join(textformat.format_rows(grid, ","))
+            slow = textformat.format_table("", grid, ",")
         assert slow == fast
         assert_cells_match(grid.ravel(), cols=3)
 
     def test_rows_span_several_blocks(self):
-        rows = 2 * (textformat._WRITE_CELLS // 2) + 3
-        grid = np.random.default_rng(3).uniform(-1, 1, (rows, 2))
-        blocks = textformat.format_rows(grid, " ")
-        assert len(blocks) == 3
-        assert b"".join(blocks).count(b"\n") == rows
-        assert_cells_match(grid, cols=2, sep=" ")
+        # two full blocks and a short third; the text runs on across their joins
+        rows = 2 * (textformat._WRITE_CELLS // 3) + 3
+        grid = np.random.default_rng(3).uniform(-1, 1, (rows, 3))
+        expected = b"".join(b"%.17g %.17g %.17g\n" % tuple(row) for row in grid.tolist())
+        assert textformat.format_table("x y z\n", grid, " ") == b"x y z\n" + expected
