@@ -3,16 +3,18 @@
 Everything here is a pure function of its inputs. The fitter is one
 damped Gauss-Newton (Levenberg-Marquardt) loop, least_squares_stack,
 sized for the small, smooth models used elsewhere in the package. It
-fits a stack of fits at once: each round forms every stepping row's
-normal matrix with one np.matmul and solves every active row's damped
-system with one stacked np.linalg.solve, while each row keeps its own
-damping, step acceptance, convergence test and iteration budget, and a
-failure ends only its own row. Shorter rows are padded with masked exact
-zeros; each row's result matched its solo fit bit for bit on one BLAS.
-A single fit is a stack of one. There is no finite-difference fallback:
-every fit passes its model's analytic Jacobian, and SHIPPED_MODELS pairs
-each model with one; the shipped models evaluate a whole stack as well
-as a single fit.
+fits a stack of fits at once. The rows still fitting form a working
+stack, and every round takes each of them through the same steps: the
+normal matrices by one np.matmul, the damped systems by one stacked
+np.linalg.solve, then the trial steps and their tests. Each row keeps
+its own damping, step acceptance, convergence test and iteration
+budget. A row that stops, whether it converged or failed, leaves the
+stack at the end of the round, and a failure ends only its own row.
+Shorter rows are padded with masked exact zeros; each row's result
+matched its solo fit bit for bit on one BLAS. A single fit is a stack
+of one. There is no finite-difference fallback: every fit passes its
+model's analytic Jacobian, and SHIPPED_MODELS pairs each model with
+one; the shipped models evaluate a whole stack as well as a single fit.
 """
 
 from __future__ import annotations
@@ -116,6 +118,20 @@ def seeded_rng(seed) -> np.random.Generator:
 # Gauss-Newton steps a fit may take before it is reported as not converged.
 MAX_ITERATIONS = 200
 
+# How a row's fit stops, in the order a round meets them; a row takes the first
+# that holds. A "non-finite" ending fails the row with a FitError, and only the
+# "converged" ones converge.
+_ENDINGS = (
+    "non-finite jacobian during fit",
+    "singular normal equations: jacobian is identically zero",
+    "singular normal equations",
+    "non-finite model output during fit",
+    "damping exhausted without an acceptable step",
+    "converged: relative step below 1e-10",
+    "converged: relative residual change below 1e-12",
+    "max iterations reached",
+)
+
 
 def _row_dot(a, b):
     """a[i] @ b[i] for every row, by the same BLAS dot as a 1-D a[i] @ b[i]."""
@@ -171,16 +187,21 @@ def least_squares_stack(
     r @ r, whose BLAS dot sums in lanes set by its length, is summed over
     the row's own samples, and the covariance uses the row's own n_i - k.
 
-    Damped Gauss-Newton (Levenberg-Marquardt). Each round forms J^T J of
-    the rows that took a step with one np.matmul, the same BLAS call per
-    row as a single fit's ``J.T @ J``, and solves every active row's
-    system with one stacked np.linalg.solve. Each row has its own
-    damping lam: its normal matrix is damped with lam * diag(J^T J), lam
-    divided by 10 on an accepted step and multiplied by 10 on a rejected
-    one. Trial steps are clipped into the bounds. A row converges on
-    relative step < 1e-10 or relative residual-norm change < 1e-12
-    within MAX_ITERATIONS steps. Each row's arithmetic is that of the
-    row fitted alone, so on such a BLAS no row depends on the others.
+    Damped Gauss-Newton (Levenberg-Marquardt) on a working stack: the
+    rows still fitting, held as whole arrays. Every working row takes
+    each round's steps together. In the first round, and after a round
+    in which some row took a step, every row's J^T J is formed with one
+    np.matmul, the same BLAS call per row as a single fit's ``J.T @ J``
+    (a row that did not step gets its old system back). Every row's
+    damped system is solved with one stacked np.linalg.solve, and every
+    trial step is tested at once. Each row has its own damping lam: its
+    normal matrix is damped with lam * diag(J^T J), lam divided by 10 on
+    an accepted step and multiplied by 10 on a rejected one. Trial steps
+    are clipped into the bounds. A row converges on relative step <
+    1e-10 or relative residual-norm change < 1e-12 within MAX_ITERATIONS
+    steps. A row that stops leaves the stack at the end of the round.
+    Each row's arithmetic is that of the row fitted alone, so on such a
+    BLAS no row depends on the others.
 
     A failure ends only its own row. Returns one entry per row: a
     FitResult, with ``converged=False`` and a message when the normal
@@ -222,137 +243,114 @@ def least_squares_stack(
         raise ArgumentError(f"bound {int(np.argmax(inverted))} has lower > upper")
     p = np.clip(p, lo, hi)
 
-    failed = {}
-    messages = ["max iterations reached"] * m
-    converged = np.zeros(m, dtype=bool)
-    active = np.ones(m, dtype=bool)
-
-    def stop(rows, message, error=False):
-        if not rows.size:
-            return
-        for i in rows.tolist():
-            if error:
-                failed[i] = FitError(message)
-            else:
-                messages[i] = message
-        active[rows] = False
-
-    def residuals(rows, params):
-        f = np.asarray(model(x[rows], params.T[..., None]), dtype=float)
-        if f.shape != (rows.size, n):
+    def residuals(x, y, mask, params):
+        f = np.asarray(model(x, params.T[..., None]), dtype=float)
+        if f.shape != y.shape:
             raise FitError("model output shape does not match data")
-        finite = np.isfinite(f).all(axis=1)
-        r = (f - y[rows]) * mask[rows]
-        if finite.all():
-            return r, None
-        stop(rows[~finite], "non-finite model output during fit", error=True)
-        return r, finite
+        return (f - y) * mask, np.isfinite(f).all(axis=1)
 
-    def squares(rows, r):
+    def squares(r, lengths):
         # a short row's r @ r is summed over its own samples, as when it is fitted alone
         out = _row_dot(r, r)
-        for i in np.flatnonzero(lengths[rows] < n).tolist():
-            out[i] = r[i, :lengths[rows[i]]] @ r[i, :lengths[rows[i]]]
+        for i in np.flatnonzero(lengths < n).tolist():
+            out[i] = r[i, :lengths[i]] @ r[i, :lengths[i]]
         return out
 
-    r, _ = residuals(np.arange(m), p)
-    cost = squares(np.arange(m), r)
-    lam = np.full(m, 1e-3)
-    iterations = np.zeros(m, dtype=int)
-    # the damped systems of the current step: A = J^T J, g = J^T r, d the damping diagonal
-    A = np.empty((m, k, k))
-    g = np.empty((m, k))
-    d = np.empty((m, k))
-    fresh = active.copy()
+    r, started = residuals(x, y, mask, p)
+    cost = squares(r, lengths)
+    # every row's result, written when the row leaves the working stack
+    messages = [None if ok else "non-finite model output during fit" for ok in started.tolist()]
+    params, costs, iterations = p, cost, np.ones(m, dtype=int)
+
+    # The working stack: the rows still fitting (at[j] is row j's index), with their data,
+    # params, residuals, cost, Jacobian count, damping and last damped system A, g, d.
+    at = np.flatnonzero(started)
+    wx, wy, wmask, wlen, wlo, whi, p, r, cost, iters = (
+        v[at] for v in (x, y, mask, lengths, lo, hi, params, r, costs, iterations)
+    )
+    lam = np.full(at.size, 1e-3)
     eye = np.eye(k)
     tiny = np.finfo(float).tiny
-
-    while True:
-        # rows that accepted a step (or start) take a new Jacobian
-        rows = np.flatnonzero(fresh)
-        if rows.size:
-            fresh[rows] = False
-            iterations[rows] += 1
-            J = np.asarray(jacobian(x[rows], p[rows].T[..., None]), dtype=float)
-            if J.shape != (rows.size, n, k):
+    moved = True
+    while at.size:
+        bad_jacobian = blank = np.zeros(at.size, dtype=bool)
+        # a new J only after some row stepped: a row that did not would get its last one back
+        if moved:
+            J = np.asarray(jacobian(wx, p.T[..., None]), dtype=float)
+            if J.shape != (at.size, n, k):
                 raise FitError("jacobian shape does not match data and parameters")
-            finite = np.isfinite(J).all(axis=(1, 2))
-            if not finite.all():
-                stop(rows[~finite], "non-finite jacobian during fit", error=True)
-                rows, J = rows[finite], J[finite]
-            J = J * mask[rows, :, None]
+            bad_jacobian = ~np.isfinite(J).all(axis=(1, 2))
+            # a non-finite row takes a zero J, so no arithmetic below warns on it
+            if bad_jacobian.any():
+                J = np.where(bad_jacobian[:, None, None], 0.0, J)
+            J = J * wmask[:, :, None]
             Jt = J.transpose(0, 2, 1)
-            g[rows] = np.matmul(Jt, r[rows, :, None])[:, :, 0]
-            A[rows] = np.matmul(Jt, J)
-            diag = np.diagonal(A[rows], axis1=1, axis2=2)
+            g = np.matmul(Jt, r[:, :, None])[:, :, 0]
+            A = np.matmul(Jt, J)
+            diag = np.diagonal(A, axis1=1, axis2=2)
             positive = diag > 0
-            if not positive.all():
-                blank = ~positive.any(axis=1)
-                stop(rows[blank], "singular normal equations: jacobian is identically zero")
-                # guard all-zero columns so damping keeps the system solvable
-                floor = np.where(positive, diag, np.inf).min(axis=1, keepdims=True)
-                diag = np.where(positive, diag, floor)
-            d[rows] = diag
+            blank = ~positive.any(axis=1)
+            # an all-zero column is damped by the row's least positive diagonal, a blank row by 1
+            floor = np.where(positive, diag, np.inf).min(axis=1, keepdims=True)
+            floor[blank] = 1.0
+            d = np.where(positive, diag, floor)
 
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        damped = A[rows] + (lam[rows, None] * d[rows])[:, :, None] * eye
-        delta = _solve_stack(damped, -g[rows, :, None])[0][:, :, 0]
-        solved = np.isfinite(delta).all(axis=1)
-        if not solved.all():
-            stop(rows[~solved], "singular normal equations")
-            rows, delta = rows[solved], delta[solved]
-        p_try = np.clip(p[rows] + delta, lo[rows], hi[rows])
-        step = p_try - p[rows]
-        r_try, finite = residuals(rows, p_try)
-        if finite is not None:
-            rows, p_try, step, r_try = rows[finite], p_try[finite], step[finite], r_try[finite]
-        cost_try = squares(rows, r_try)
-
-        better = cost_try <= cost[rows]
-        if not better.all():
-            worse = rows[~better]
-            lam[worse] *= 10.0
-            stop(worse[lam[worse] > 1e14], "damping exhausted without an acceptable step")
-            rows, p_try, step, r_try, cost_try = (
-                v[better] for v in (rows, p_try, step, r_try, cost_try)
-            )
+        delta = _solve_stack(A + (lam[:, None] * d)[:, :, None] * eye, -g[:, :, None])[0][:, :, 0]
+        singular = ~np.isfinite(delta).all(axis=1)
+        # a row that has stopped this round tries no step, so its params stand
+        delta[blank | singular] = 0.0
+        p_try = np.clip(p + delta, wlo, whi)
+        step = p_try - p
+        r_try, finite = residuals(wx, wy, wmask, p_try)
+        cost_try = squares(r_try, wlen)
+        better = cost_try <= cost
         rel_step = np.sqrt(_row_dot(step, step)) / np.maximum(np.sqrt(_row_dot(p_try, p_try)), tiny)
-        rel_drop = (cost[rows] - cost_try) / np.maximum(cost[rows], tiny)
-        p[rows], r[rows], cost[rows] = p_try, r_try, cost_try
-        lam[rows] = np.maximum(lam[rows] / 10.0, 1e-14)
-        small_step = rel_step < 1e-10
-        small_drop = ~small_step & (rel_drop < 1e-12)
-        done = small_step | small_drop
-        if done.any():
-            converged[rows[done]] = True
-            stop(rows[small_step], "converged: relative step below 1e-10")
-            stop(rows[small_drop], "converged: relative residual change below 1e-12")
-            rows = rows[~done]
-        stop(rows[iterations[rows] == MAX_ITERATIONS], "max iterations reached")
-        fresh[rows] = active[rows]
+        rel_drop = (cost - cost_try) / np.maximum(cost, tiny)
+        lam = np.where(better, np.maximum(lam / 10.0, 1e-14), lam * 10.0)
+        p = np.where(better[:, None], p_try, p)
+        r = np.where(better[:, None], r_try, r)
+        cost = np.where(better, cost_try, cost)
 
+        # row e holds the rows that meet _ENDINGS[e] this round; a row takes its first
+        ended = np.array([
+            bad_jacobian, blank, singular, ~finite, lam > 1e14, better & (rel_step < 1e-10),
+            better & (rel_drop < 1e-12), better & (iters == MAX_ITERATIONS),
+        ])
+        fitting = ~ended.any(axis=0)
+        iters += better & fitting
+        moved = (better & fitting).any()
+        stopped = ~fitting
+        if stopped.any():
+            left = at[stopped]
+            params[left], costs[left], iterations[left] = p[stopped], cost[stopped], iters[stopped]
+            for i, e in zip(left.tolist(), ended[:, stopped].argmax(axis=0).tolist()):
+                messages[i] = _ENDINGS[e]
+            at, wx, wy, wmask, wlen, wlo, whi, p, r, cost, iters, lam, A, g, d = (
+                v[fitting]
+                for v in (at, wx, wy, wmask, wlen, wlo, whi, p, r, cost, iters, lam, A, g, d)
+            )
+
+    converged = np.array([message.startswith("converged") for message in messages])
     covariance = [None] * m
     done = np.flatnonzero(converged & (lengths > k))
     if done.size:
-        J = np.asarray(jacobian(x[done], p[done].T[..., None]), dtype=float) * mask[done, :, None]
+        J = np.asarray(jacobian(x[done], params[done].T[..., None]), dtype=float) * mask[done, :, None]
         inverse, singular = _solve_stack(
             np.matmul(J.transpose(0, 2, 1), J), np.broadcast_to(eye, (done.size, k, k))
         )
         for i, inv, bad in zip(done.tolist(), inverse, singular.tolist()):
             if not bad:
-                covariance[i] = inv * (cost[i] / (lengths[i] - k))
+                covariance[i] = inv * (costs[i] / (lengths[i] - k))
     return [
-        failed[i] if i in failed else FitResult(
-            params=p[i].copy(),
-            residual_norm=float(np.sqrt(cost[i])),
+        FitError(message) if message.startswith("non-finite") else FitResult(
+            params=params[i].copy(),
+            residual_norm=float(np.sqrt(costs[i])),
             converged=bool(converged[i]),
             iterations=int(iterations[i]),
             covariance=covariance[i],
-            message=messages[i],
+            message=message,
         )
-        for i in range(m)
+        for i, message in enumerate(messages)
     ]
 
 

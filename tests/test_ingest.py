@@ -415,7 +415,6 @@ def csv_texts(draw):
     note = header.index("note") if "note" in header else None
     for row in rows:
         if note is not None:
-            # a free-text column the parser must not read
             # a free-text column the parser must not read; an open quote
             # makes csv.reader join the line with the next
             text = draw(st.sampled_from(["x", "", "1", '"a,b"', '"x', 'y"']))

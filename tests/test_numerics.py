@@ -372,11 +372,13 @@ def reference_outcome(*args):
 def poisoned_lorentzian(kinds):
     """The lorentzian model and Jacobian, broken per row; a row is named by its first x.
 
-    "nan" gives NaN output once the fwhm falls below 0.45, "zero" an all-zero
-    Jacobian, "singular" a Jacobian whose damped normal matrix is exactly
-    singular, "uphill" a negated Jacobian (every step is rejected) and
-    "stall" one scaled by 1e6 (every step is a millionth of the
-    Gauss-Newton step, so the fit never converges).
+    "nan" gives NaN output once the fwhm falls below 0.45, "late_inf" an
+    infinite Jacobian from then on (the row fails after accepted steps),
+    "zero" an all-zero Jacobian, "tiny" one whose every square underflows
+    (J^T J is zero but J^T r is not), "singular" a Jacobian whose damped
+    normal matrix is exactly singular, "uphill" a negated Jacobian (every
+    step is rejected) and "stall" one scaled by 1e6 (every step is a
+    millionth of the Gauss-Newton step, so the fit never converges).
     """
     def model(x, params):
         y = lorentzian(x, params)
@@ -398,11 +400,16 @@ def poisoned_lorentzian(kinds):
                 J[i] *= -1.0
             if kind == "stall":
                 J[i] *= 1e6
+            if kind == "late_inf" and params[1][i, 0] < 0.45:
+                J[i] = np.inf
+            if kind == "tiny":
+                J[i] *= 1e-170
         return J
 
     return model, jacobian
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLeastSquaresStack:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_stack_of_one_is_the_serial_fit(self, name):
@@ -422,7 +429,8 @@ class TestLeastSquaresStack:
     def test_each_row_is_its_solo_fit(self):
         x = np.linspace(-3.0, 3.0, 101)
         rng = np.random.default_rng(11)
-        kinds = ["good", "nan", "good", "zero", "singular", "good", "uphill", "stall", "good"]
+        kinds = ["good", "nan", "good", "zero", "singular", "good", "uphill", "stall", "good",
+                 "late_inf"]
         xs = np.stack([x + 1e-3 * i for i in range(len(kinds))])
         model, jac = poisoned_lorentzian({float(row[0]): k for row, k in zip(xs, kinds)})
         ys = lorentzian(xs, np.array(TRUE_PARAMS["lorentzian"])[:, None, None])
@@ -449,6 +457,7 @@ class TestLeastSquaresStack:
         outcome = dict(zip(kinds, results))
         assert all(r.converged for k, r in zip(kinds, results) if k == "good")
         assert str(outcome["nan"]) == "non-finite model output during fit"
+        assert str(outcome["late_inf"]) == "non-finite jacobian during fit"
         assert outcome["zero"].message == "singular normal equations: jacobian is identically zero"
         assert outcome["zero"].iterations == 1
         assert outcome["singular"].message == "singular normal equations"
@@ -461,8 +470,9 @@ class TestLeastSquaresStack:
     def test_ragged_rows_are_their_solo_fits(self):
         # the short rows are padded to 101 samples; a dot product over a padded
         # row of 73 samples can sum in other SIMD lanes than over the row alone
-        kinds = ["good", "nan", "good", "zero", "singular", "good", "uphill", "stall", "good"]
-        sizes = [73, 64, 101, 73, 101, 64, 101, 64, 73]
+        kinds = ["good", "nan", "good", "zero", "singular", "good", "uphill", "stall", "good",
+                 "late_inf"]
+        sizes = [73, 64, 101, 73, 101, 64, 101, 64, 73, 64]
         rng = np.random.default_rng(13)
         xs = [np.linspace(-3.0, 3.0, n) + 1e-3 * i for i, n in enumerate(sizes)]
         true = TRUE_PARAMS["lorentzian"]
@@ -483,10 +493,35 @@ class TestLeastSquaresStack:
         assert all(r.converged and r.covariance is not None for r in good)
         outcome = dict(zip(kinds, results))
         assert str(outcome["nan"]) == "non-finite model output during fit"
+        assert str(outcome["late_inf"]) == "non-finite jacobian during fit"
         assert outcome["zero"].message == "singular normal equations: jacobian is identically zero"
         assert outcome["singular"].message == "singular normal equations"
         assert outcome["uphill"].message == "damping exhausted without an acceptable step"
         assert outcome["stall"].message == "max iterations reached"
+
+    @pytest.mark.parametrize("kinds", [["nan"] * 3, ["zero"] * 3, ["nan", "zero", "tiny", "nan"]])
+    def test_every_row_stops_in_round_one(self, kinds):
+        # a start fwhm below 0.45 makes a "nan" row's first model output NaN, and
+        # a "zero" or "tiny" row stops at its first Jacobian: no row takes a step,
+        # not even the 1e-167 one a "tiny" row's J^T r would make from offset 0
+        sizes = [41, 30, 41, 35][:len(kinds)]
+        xs = [np.linspace(-3.0, 3.0, n) + 1e-3 * i for i, n in enumerate(sizes)]
+        ys = [lorentzian(x, TRUE_PARAMS["lorentzian"]) for x in xs]
+        model, jac = poisoned_lorentzian({float(x[0]): k for x, k in zip(xs, kinds)})
+        inits = np.tile([0.3, 0.4, 1.5, 0.0], (len(kinds), 1))
+        lo, hi = np.full(4, -np.inf), np.full(4, np.inf)
+
+        results = least_squares_stack(model, xs, ys, inits, jacobian=jac)
+        for x, y, init, result in zip(xs, ys, inits, results):
+            assert_same_fit(result, reference_outcome(
+                lambda x, p: model(x[None], p[:, None, None])[0], x, y, init, lo, hi,
+                lambda x, p: jac(x[None], p[:, None, None])[0],
+            ))
+        for kind, result in zip(kinds, results):
+            if kind == "nan":
+                assert str(result) == "non-finite model output during fit"
+            else:
+                assert result.iterations == 1 and not result.converged
 
     def test_ragged_rows_are_checked_row_by_row(self):
         x2, x5 = np.array([0.0, 1.0]), np.linspace(0.0, 1.0, 5)

@@ -38,9 +38,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from workloads import CLI_CYCLE, DEVICE_CFG, CliScript, cli_args  # noqa: E402
+
+from sawkit import ingest  # noqa: E402
 
 # Config files written into the fixtures, for calls that take their
 # values from a config file; a relative input is read from the fixtures,
@@ -122,6 +126,12 @@ EXTRA_CALLS = [
     ("cavity_high_finesse", ["--config", "{fixtures}/device.cfg", "cavity",
                              "--input", "{out}/synth_high_finesse/synthetic.s2p",
                              "--alpha-db-mm", "0.5"]),
+    # the paper cavity with an |S11| dip under each mode: internal Qs from
+    # the dips, and, with S11 alone, modes found on the inverted |S11|
+    ("cavity_with_s11", ["--config", "{fixtures}/device.cfg", "cavity",
+                         "--input", "{fixtures}/paper_s11.s2p", "--alpha-db-mm", "2.0"]),
+    ("cavity_s11_only", ["--config", "{fixtures}/device.cfg", "cavity",
+                         "--input", "{fixtures}/paper_s11.csv", "--alpha-db-mm", "2.0"]),
     # a narrower drive sweep away from the default spin frequency
     ("simulate_odar_narrow", ["simulate", "odar", "--f-spin-ghz", "2.5", "--span-mhz", "50"]),
     # orders up to 10 at a large modulation index: weights far from the
@@ -176,6 +186,20 @@ def edge_touchstone() -> bytes:
     return ("# HZ S RI R 50\n" + "\n".join(rows) + "\n").encode()
 
 
+def with_reflection(touchstone: bytes):
+    """A sweep's Touchstone text and S11-only CSV, with an |S11| dip under each |S21| peak.
+
+    S11 = 1 - 0.8 |S21| / max |S21| is real, so |S11| falls to 0.2 at the
+    highest mode and each dip has its mode's shape.
+    """
+    sweep = ingest.parse_touchstone(touchstone)
+    s21 = np.abs(sweep.pair((2, 1)))
+    s11 = 1.0 - 0.8 * s21 / s21.max()
+    both = ingest.NetworkSweep(sweep.freqs, {**sweep.s, (1, 1): s11}, sweep.ref_impedance)
+    alone = ingest.NetworkSweep(sweep.freqs, {(1, 1): s11}, sweep.ref_impedance)
+    return ingest.write_touchstone(both), ingest.write_csv(alone, [(1, 1)])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="Fixture and noise seed.")
@@ -193,6 +217,9 @@ def main(argv=None) -> int:
         for name, underscore in (("echo_commented.s2p", False), ("echo_underscored.s2p", True)):
             (fixtures / name).write_bytes(commented(echo, underscore))
         (fixtures / "edge.s2p").write_bytes(edge_touchstone())
+        s2p, csv = with_reflection((fixtures / "paper.s2p").read_bytes())
+        (fixtures / "paper_s11.s2p").write_bytes(s2p)
+        (fixtures / "paper_s11.csv").write_bytes(csv)
         for name, data in CONFIGS.items():
             (fixtures / name).write_bytes(data)
         if args.fixtures is not None:
