@@ -4,6 +4,11 @@ The command line's exit code follows the class: ArgumentError and
 FormatError (bad usage or input) exit 2, any other ToolkitError exits 3.
 """
 
+__all__ = [
+    "ToolkitError", "FormatError", "ArgumentError", "GridError", "FitError",
+    "InconsistencyError", "NonphysicalGrowthError", "ResolutionError",
+]
+
 
 class ToolkitError(Exception):
     """Base class for all errors raised by this package."""

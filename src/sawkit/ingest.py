@@ -271,7 +271,9 @@ def parse_touchstone(data) -> NetworkSweep:
     Grammar: '!' starts a comment, one '# <unit> S <RI|MA|DB> R <imp>'
     option line, then data rows of 9 numeric columns ordered
     f, S11, S21, S12, S22 (real/imag, magnitude/angle or dB/angle pairs).
-    Touchstone v2 keyword blocks are rejected.
+    A pair that is exactly zero in every row reads back as absent, unless
+    every pair is, in which case all four are kept. Touchstone v2 keyword
+    blocks are rejected.
     """
     text = _decode(data)
     # every line with its comment cut and its ends stripped
@@ -315,7 +317,9 @@ def parse_touchstone(data) -> NetworkSweep:
     freqs, values = parsed or _read_rows(data_rows(), forms, unit_scale)
     if not freqs.size:
         raise FormatError("no data rows")
-    s = {pair: values[:, k] for k, pair in enumerate(PORT_PAIRS)}
+    # a pair that is zero in every row was absent when written
+    present = values.any(axis=0)
+    s = {pair: values[:, k] for k, pair in enumerate(PORT_PAIRS) if present[k] or not present.any()}
     return NetworkSweep(freqs=freqs, s=s, ref_impedance=impedance)
 
 
@@ -323,8 +327,9 @@ def write_touchstone(sweep: NetworkSweep) -> bytes:
     """Serialize a sweep as Touchstone v1 two-port text: '# GHZ S RI R <z>'.
 
     Port pairs absent from the sweep are written as zeros since the row
-    grammar always carries all four. Values are printed with 17
-    significant digits so the round trip through parse_touchstone is exact.
+    grammar always carries all four; parse_touchstone reads an all-zero
+    pair back as absent. Values are printed with 17 significant digits so
+    the round trip through parse_touchstone is exact.
     """
     head = f"! {sweep.label}\n" if sweep.label else ""
     head += f"# GHZ S RI R {sweep.ref_impedance:.17g}\n"

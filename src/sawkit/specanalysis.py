@@ -414,10 +414,7 @@ def q_internal_from_reflection(
     if convention == "undercoupled":
         beta = (1.0 - s11_min) / (1.0 + s11_min)
     elif convention == "overcoupled":
-        if s11_min == 0:
-            beta = 1.0
-        else:
-            beta = (1.0 + s11_min) / (1.0 - s11_min) if s11_min < 1 else math.inf
+        beta = (1.0 + s11_min) / (1.0 - s11_min) if s11_min < 1 else math.inf
     else:
         raise ArgumentError(f"unknown coupling convention {convention!r}")
     return (1.0 + beta) * q_loaded

@@ -1,9 +1,11 @@
-"""The top-level package: one lazy export table and a cheap import."""
+"""The top-level package: one home per public name and a cheap import."""
 
 import importlib
+import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,53 +14,42 @@ import pytest
 
 import sawkit
 
-EXPORTED = [name for name in sawkit.__all__ if name != "__version__"]
 
-
-def home_module(name):
-    return importlib.import_module(f"sawkit.{sawkit._EXPORTS[name]}")
-
-
-def test_exports_are_their_home_objects():
-    for name in EXPORTED:
-        obj = getattr(sawkit, name)
-        home = home_module(name)
-        assert obj is getattr(home, name), name
-        # classes and functions are exported from the module defining them
-        assert getattr(obj, "__module__", home.__name__) == home.__name__, name
-
-
-def test_submodule_exports_exist_and_cover_the_package_table():
-    # an __all__ entry left behind by a deleted name fails here, not only
-    # when the name is looked up through the package
+def public_modules():
+    """Every sawkit module that declares an __all__."""
     for info in pkgutil.iter_modules(sawkit.__path__):
         module = importlib.import_module(f"sawkit.{info.name}")
-        for name in getattr(module, "__all__", ()):
-            assert hasattr(module, name), (info.name, name)
-    for home, names in sawkit._HOMES.items():
-        # errors has no __all__; the lookup test above covers its names
-        listed = getattr(importlib.import_module(f"sawkit.{home}"), "__all__", names)
-        missing = set(names) - set(listed)
-        assert not missing, (home, sorted(missing))
+        if hasattr(module, "__all__"):
+            yield module
 
 
-def test_exports_are_listed_once_and_by_dir():
-    assert len(set(sawkit.__all__)) == len(sawkit.__all__)
-    listed = dir(sawkit)
-    for name in sawkit.__all__:
-        assert name in listed, name
+def test_submodule_exports_exist():
+    # an __all__ entry left behind by a deleted name fails here
+    for module in public_modules():
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
 
 
-def test_lookups_are_not_cached_in_the_package():
-    home = home_module("phonon_budget")
-    assert sawkit.phonon_budget is home.phonon_budget
-    assert "phonon_budget" not in vars(sawkit)
-    original = home.phonon_budget
-    try:
-        home.phonon_budget = replacement = object()
-        assert sawkit.phonon_budget is replacement
-    finally:
-        home.phonon_budget = original
+def test_each_public_name_has_one_home():
+    # no module lists a class or function that another module defines
+    for module in public_modules():
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, (module.__name__, name)
+
+
+def test_api_surface_lists_every_public_name():
+    root = Path(sawkit.__file__).resolve().parent.parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, str(root / "tools" / "api_surface.py")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    # each line is "<module> <name><signature>" or "<module> <name>: <type>"
+    listed = [re.match(r"(\S+) (\w+)", line).groups() for line in out.stdout.splitlines()]
+    expected = [(m.__name__, name) for m in public_modules() for name in m.__all__]
+    assert sorted(listed) == sorted(expected)
 
 
 def test_unknown_names_raise_attribute_error():
@@ -70,8 +61,8 @@ def test_unknown_names_raise_attribute_error():
 def test_submodules_still_import_through_the_package():
     from sawkit import ingest, qdyn
 
-    assert ingest.parse_touchstone is sawkit.parse_touchstone
-    assert qdyn.fit_rabi is sawkit.fit_rabi
+    assert ingest.__name__ == "sawkit.ingest"
+    assert qdyn.__name__ == "sawkit.qdyn"
 
 
 def test_bare_import_loads_neither_numpy_nor_scipy():

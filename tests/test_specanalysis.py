@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from sawkit import specanalysis
 from sawkit.errors import ArgumentError, FitError, InconsistencyError
-from sawkit.ingest import NetworkSweep
+from sawkit.ingest import NetworkSweep, parse_touchstone, write_touchstone
 from sawkit.numerics import Series, db_convert
 from sawkit.specanalysis import (
     CavityGeometry,
@@ -168,6 +168,8 @@ class TestScalarFormulas:
     def test_q_internal_boundaries(self):
         assert q_internal_from_reflection(2100.0, 1.0) == pytest.approx(2100.0)
         assert q_internal_from_reflection(2100.0, 0.0) == pytest.approx(4200.0)
+        assert q_internal_from_reflection(2100.0, 0.0, "overcoupled") == 4200.0
+        assert q_internal_from_reflection(2100.0, 1.0, "overcoupled") == math.inf
 
     def test_q_internal_overcoupled_branch(self):
         under = q_internal_from_reflection(2100.0, 0.714, "undercoupled")
@@ -576,6 +578,12 @@ class TestCavityReport:
             assert fit.covariance.shape == (4, 4)
             assert 0 < fit.covariance[0, 0] < (0.01 * fit.params[1]) ** 2
         assert sum(fit.iterations for fit in report.mode_fits) == 229
+
+    def test_touchstone_round_trip_reads_no_reflection(self):
+        # the synthesized sweep has no S11; its zero-filled column is no reflection dip
+        sweep = parse_touchstone(write_touchstone(paper_cavity_sweep()))
+        report = cavity_report(sweep, GEOM)
+        assert report.q_loaded and report.q_internal == []
 
     def test_report_csv_bytes(self):
         freqs = np.linspace(3.6e9, 4.0e9, 8001)
