@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,7 +23,6 @@ if TYPE_CHECKING:
     from .ingest import NetworkSweep
 
 __all__ = [
-    "LorentzianPeak",
     "CavityGeometry",
     "CavityReport",
     "find_peaks",
@@ -44,23 +43,6 @@ __all__ = [
 
 
 @dataclass
-class LorentzianPeak:
-    """One fitted cavity mode."""
-
-    f0: float
-    fwhm: float
-    amplitude: float
-    offset: float
-
-    def __post_init__(self):
-        if self.fwhm <= 0:
-            raise ArgumentError("fwhm must be positive")
-
-    def q_loaded(self) -> float:
-        return self.f0 / self.fwhm
-
-
-@dataclass
 class CavityGeometry:
     """Device geometry: IDT separation, acoustic wavelength, mirror size."""
 
@@ -78,37 +60,42 @@ class CavityGeometry:
 
 @dataclass
 class CavityReport:
-    """Derived cavity quantities; fields stay None when inputs were absent.
+    """The mode table of a cavity and the quantities derived from it.
 
-    mode_fits holds each fitted mode's FitResult (covariance, iteration
-    count, message), in the order of q_loaded. rejected holds (frequency,
-    reason) for each candidate peak left unfitted.
+    One row per fitted mode, in the ascending order of the candidate
+    peaks: the columns f0, fwhm and q_internal (NaN without S11 data),
+    and mode_fits, each mode's FitResult with params (f0, fwhm,
+    amplitude, offset), covariance, iteration count and message.
+    rejected holds (frequency, reason) for each candidate peak left
+    unfitted. q_propagation is None when no attenuation was given.
     """
 
-    fsr: Optional[float] = None
-    l_p: Optional[float] = None
-    r_s: Optional[float] = None
-    q_loaded: List[Tuple[float, float]] = field(default_factory=list)
-    mode_fits: List[FitResult] = field(default_factory=list)
-    q_internal: List[Tuple[float, float]] = field(default_factory=list)
-    q_mirror: Optional[float] = None
+    f0: np.ndarray
+    fwhm: np.ndarray
+    q_internal: np.ndarray
+    mode_fits: List[FitResult]
+    rejected: List[Tuple[float, str]]
+    fsr: float
+    l_p: float
+    r_s: float
+    q_mirror: float
+    finesse: float
     q_propagation: Optional[float] = None
-    finesse: Optional[float] = None
-    rejected: List[Tuple[float, str]] = field(default_factory=list)
+
+    @property
+    def q_loaded(self) -> np.ndarray:
+        return self.f0 / self.fwhm
 
     def __post_init__(self):
-        if self.r_s is not None and not 0 < self.r_s < 1:
+        if not 0 < self.r_s < 1:
             raise InconsistencyError(f"r_s = {self.r_s:.4g} outside (0, 1)")
-        if self.l_p is not None and self.l_p <= 0:
+        if self.l_p <= 0:
             raise InconsistencyError("penetration depth must be positive")
-        if self.finesse is not None and self.finesse <= 0:
+        if self.finesse <= 0:
             raise InconsistencyError("finesse must be positive")
-        if self.q_internal and len(self.q_internal) == len(self.q_loaded):
-            for (_, qi), (_, ql) in zip(self.q_internal, self.q_loaded):
-                if qi < ql * (1 - 1e-12):
-                    raise InconsistencyError(
-                        "internal Q below loaded Q; check the reflection dip data"
-                    )
+        # a NaN internal Q (no reflection data) compares false
+        if np.any(self.q_internal < self.q_loaded * (1 - 1e-12)):
+            raise InconsistencyError("internal Q below loaded Q; check the reflection dip data")
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +155,11 @@ def _bases(heights: List[float], valleys: List[float]) -> List[float]:
     return bases
 
 
+def _magnitude(y) -> np.ndarray:
+    """A trace's real samples: |y| of complex ones, float otherwise."""
+    return np.abs(y) if np.iscomplexobj(y) else np.asarray(y, float)
+
+
 def find_peaks(trace: Series, min_prominence: float, min_spacing: float) -> List[float]:
     """Local maxima above a prominence, thinned to a minimum spacing.
 
@@ -177,7 +169,7 @@ def find_peaks(trace: Series, min_prominence: float, min_spacing: float) -> List
     """
     if len(trace) < 3:
         raise ArgumentError("peak finding needs at least 3 samples")
-    y = np.abs(trace.y) if np.iscomplexobj(trace.y) else np.asarray(trace.y, float)
+    y = _magnitude(trace.y)
     if not np.all(np.isfinite(y)):
         raise ArgumentError("peak finding needs finite samples")
     idx = _prominent_peaks(y, min_prominence)
@@ -215,7 +207,7 @@ def _window_blocks(trace: Series, windows, min_samples: int):
     errors = {}
     for i in np.flatnonzero(n < min_samples).tolist():
         errors[i] = ArgumentError(f"window contains {n[i]} samples, needs at least {min_samples}")
-    values = np.abs(trace.y) if np.iscomplexobj(trace.y) else np.asarray(trace.y, float)
+    values = _magnitude(trace.y)
     blocks = []
     for size in np.unique(n[n >= min_samples]).tolist():
         rows = np.flatnonzero(n == size)
@@ -246,17 +238,19 @@ def _half_height_width(x, y, i_peak, offset, amplitude):
     return np.where(width <= 0, (x[:, -1] - x[:, 0]) / 6.0, width)
 
 
-def _fit_peaks(fits) -> List[Union[FitResult, FitError]]:
-    """Fit the Lorentzian (f0, fwhm, amplitude, offset) to each (x, y, window, init).
+def _fit_peaks(starts) -> List[Union[FitResult, ArgumentError, FitError]]:
+    """Fit the Lorentzian (f0, fwhm, amplitude, offset) from each start of _lorentzian_starts.
 
-    Each f0 stays in its window and each fwhm in [step/1000, 10 span].
-    Every fit goes into one least_squares_stack call, whatever its
-    length. Returns one entry per fit: its converged FitResult, or a
-    FitError, which for a fit that did not converge has the FitResult
-    attached.
+    A start is (x, y, window, init), or the error of a window without
+    one, which passes through. Each f0 stays in its window and each fwhm
+    in [step/1000, 10 span]. Every fit goes into one least_squares_stack
+    call, whatever its length. Returns one outcome per start: the fit's
+    converged FitResult, or an error; a FitError of a fit that did not
+    converge has the FitResult attached.
     """
+    fits = [start for start in starts if isinstance(start, tuple)]
     if not fits:
-        return []
+        return list(starts)
     model, jacobian = numerics.SHIPPED_MODELS["lorentzian"]
     xs, ys, windows, inits = zip(*fits)
     window = np.array(windows, dtype=float)
@@ -265,18 +259,15 @@ def _fit_peaks(fits) -> List[Union[FitResult, FitError]]:
     inf = np.full(len(fits), np.inf)
     lower = np.column_stack([window[:, 0], step * 1e-3, -inf, -inf])
     upper = np.column_stack([window[:, 1], span * 10.0, inf, inf])
-    results = numerics.least_squares_stack(model, xs, ys, inits, lower, upper, jacobian=jacobian)
+    results = iter(
+        numerics.least_squares_stack(model, xs, ys, inits, lower, upper, jacobian=jacobian)
+    )
+    outcomes = [next(results) if isinstance(start, tuple) else start for start in starts]
     return [
-        FitError(f"lorentzian fit did not converge: {result.message}", result)
-        if isinstance(result, FitResult) and not result.converged else result
-        for result in results
+        FitError(f"lorentzian fit did not converge: {outcome.message}", outcome)
+        if isinstance(outcome, FitResult) and not outcome.converged else outcome
+        for outcome in outcomes
     ]
-
-
-def _fitted(outcome):
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def _lorentzian_starts(trace: Series, windows) -> List[Union[tuple, ArgumentError, FitError]]:
@@ -293,21 +284,19 @@ def _lorentzian_starts(trace: Series, windows) -> List[Union[tuple, ArgumentErro
     return starts
 
 
-def _lorentzian_peak(params) -> LorentzianPeak:
-    f0, fwhm, amplitude, offset = params
-    return LorentzianPeak(float(f0), float(fwhm), float(amplitude), float(offset))
-
-
-def fit_lorentzian(trace: Series, window: Tuple[float, float]) -> LorentzianPeak:
+def fit_lorentzian(trace: Series, window: Tuple[float, float]) -> FitResult:
     """Fit offset + amplitude (fwhm/2)² / ((f-f0)² + (fwhm/2)²) in a window.
 
-    The initial guess comes from the window itself (argmax, median
-    offset, width at half prominence). Raises FitError on degenerate or
-    non-converged fits with the FitResult attached.
+    Returns the converged FitResult, whose params are (f0, fwhm,
+    amplitude, offset). The initial guess comes from the window itself
+    (argmax, median offset, width at half prominence). Raises
+    ArgumentError on a window with too few samples and FitError on
+    degenerate or non-converged fits, with the FitResult attached.
     """
-    (start,) = _lorentzian_starts(trace, [window])
-    (outcome,) = _fit_peaks([_fitted(start)])
-    return _lorentzian_peak(_fitted(outcome).params)
+    (outcome,) = _fit_peaks(_lorentzian_starts(trace, [window]))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +468,7 @@ def cavity_report(
     else:
         raise ArgumentError("sweep has neither S21 nor S11")
 
-    yv = np.asarray(trace.y, float)
-    prom = min_prominence if min_prominence is not None else 0.1 * float(np.ptp(yv))
+    prom = min_prominence if min_prominence is not None else 0.1 * float(np.ptp(trace.y))
     step = float(np.median(np.diff(sweep.freqs)))
     spacing_floor = min_spacing if min_spacing is not None else 5.0 * step
     raw_peaks = find_peaks(trace, prom, spacing_floor)
@@ -493,30 +481,24 @@ def cavity_report(
 
     # every candidate's start first, then all fits in one stacked call
     starts = _lorentzian_starts(trace, _peak_windows(sweep.freqs, step, raw_peaks, raw_spacing))
-    fitted = iter(_fit_peaks([s for s in starts if isinstance(s, tuple)]))
-    peaks: List[LorentzianPeak] = []
-    mode_fits: List[FitResult] = []
-    rejected: List[Tuple[float, str]] = []
-    for f, outcome in zip(raw_peaks, starts):
-        if isinstance(outcome, tuple):
-            outcome = next(fitted)
-        if isinstance(outcome, FitResult):
-            peaks.append(_lorentzian_peak(outcome.params))
-            mode_fits.append(outcome)
-        else:
-            rejected.append((f, str(outcome)))
-    if len(peaks) < 2:
+    outcomes = _fit_peaks(starts)
+    mode_fits = [outcome for outcome in outcomes if isinstance(outcome, FitResult)]
+    rejected = [
+        (f, str(outcome)) for f, outcome in zip(raw_peaks, outcomes)
+        if not isinstance(outcome, FitResult)
+    ]
+    if len(mode_fits) < 2:
         raise FitError(
-            f"{len(peaks)} of {len(raw_peaks)} peaks fitted; the free spectral range "
+            f"{len(mode_fits)} of {len(raw_peaks)} peaks fitted; the free spectral range "
             "needs at least two fitted modes"
         )
 
-    f0s = [p.f0 for p in peaks]
-    q_loaded = [(p.f0, p.q_loaded()) for p in peaks]
-    q_med = float(np.median([q for _, q in q_loaded]))
+    f0, fwhm = np.array([fit.params[:2] for fit in mode_fits]).T
+    q_loaded = f0 / fwhm
+    q_med = float(np.median(q_loaded))
     # only fits and checked geometry go in: a failed precondition is an inconsistency
     try:
-        fsr = estimate_fsr(f0s)
+        fsr = estimate_fsr(f0)
         l_p = penetration_depth(fsr, geom.v_g, geom.d)
         r_s = mirror_reflectivity(l_p, geom.lambda0)
         qm = q_mirror(geom, l_p, r_s)
@@ -524,28 +506,29 @@ def cavity_report(
     except ArgumentError as exc:
         raise InconsistencyError(str(exc)) from exc
 
-    q_internal: List[Tuple[float, float]] = []
+    q_internal = np.full(f0.size, math.nan)
     if sweep.has_pair((1, 1)):
         s11 = np.abs(sweep.pair((1, 1)))
-        start, stop = _sample_ranges(sweep.freqs, _peak_windows(sweep.freqs, step, f0s, fsr))
-        for p, a, b in zip(peaks, start.tolist(), stop.tolist()):
+        start, stop = _sample_ranges(sweep.freqs, _peak_windows(sweep.freqs, step, f0, fsr))
+        for i, (ql, a, b) in enumerate(zip(q_loaded.tolist(), start.tolist(), stop.tolist())):
             dip = min(float(np.min(s11[a:b])), 1.0)
-            q_internal.append((p.f0, q_internal_from_reflection(p.q_loaded(), dip, convention)))
+            q_internal[i] = q_internal_from_reflection(ql, dip, convention)
 
     qp = None
     if alpha_db_per_mm is not None:
-        qp = q_propagation(float(np.median(f0s)), geom.v_g, alpha_db_per_mm)
+        qp = q_propagation(float(np.median(f0)), geom.v_g, alpha_db_per_mm)
     return CavityReport(
+        f0=f0,
+        fwhm=fwhm,
+        q_internal=q_internal,
+        mode_fits=mode_fits,
+        rejected=rejected,
         fsr=fsr,
         l_p=l_p,
         r_s=r_s,
-        q_loaded=q_loaded,
-        mode_fits=mode_fits,
-        q_internal=q_internal,
         q_mirror=qm,
-        q_propagation=qp,
         finesse=fin,
-        rejected=rejected,
+        q_propagation=qp,
     )
 
 
@@ -556,10 +539,9 @@ def report_csv(report: CavityReport) -> bytes:
     """
     from .textformat import format_table  # loaded by the first write, as in ingest
 
-    internal = dict(report.q_internal)
-    f0, ql = np.array(report.q_loaded, dtype=float).reshape(-1, 2).T
-    qi = [internal.get(f, math.nan) for f in f0.tolist()]
-    grid = np.column_stack((f0, f0 / ql, ql, qi))
+    ql = report.q_loaded
+    # fwhm_hz is written as f0 / q_loaded, which may differ from fwhm in the last bit
+    grid = np.column_stack((report.f0, report.f0 / ql, ql, report.q_internal))
     text = format_table("f0_hz,fwhm_hz,q_loaded,q_internal\n", grid, ",")
     return text.replace(b",nan\n", b",\n")
 

@@ -280,7 +280,7 @@ class TestSidebandSpectrum:
         # one Lorentzian fit each for the k=1 and k=2 upper sidebands
         first = fit_lorentzian(spec, (0.6e9, 1.4e9))
         second = fit_lorentzian(spec, (1.6e9, 2.4e9))
-        assert second.f0 - first.f0 == pytest.approx(mod, rel=1e-3)
+        assert second.params[0] - first.params[0] == pytest.approx(mod, rel=1e-3)
 
     def test_orders_capped(self):
         f = np.linspace(-1e9, 1e9, 64)
