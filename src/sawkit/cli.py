@@ -276,16 +276,11 @@ def cavity(state, input, d, lambda0, n_mirror, vg, alpha_db_mm, prominence, spac
 @click.option("--known-r", type=FiniteFloat(0, 1, min_open=True), default=None, help="Known mirror power reflectivity.")
 @click.option("--known-alpha", type=FiniteFloat(min=0), default=None, help="Known attenuation in dB/mm.")
 @click.option("--n-max", type=click.IntRange(min=0), default=4, show_default=True, help="Highest echo index.")
-@click.option(
-    "--window",
-    type=click.Choice(["raised_cosine", "none"]),
-    default="raised_cosine",
-    show_default=True,
-)
-@click.option("--edge-fraction", type=FiniteFloat(0, 0.5), default=0.5, show_default=True)
+@click.option("--edge-fraction", type=FiniteFloat(0, 0.5), default=0.5, show_default=True,
+              help="Band share tapered at each edge; 0 leaves the transform unwindowed.")
 @click.option("--oversample", type=click.IntRange(min=1), default=16, show_default=True)
 @pass_state
-def echo_loss(state, input, length, vg, known_r, known_alpha, n_max, window, edge_fraction, oversample):
+def echo_loss(state, input, length, vg, known_r, known_alpha, n_max, edge_fraction, oversample):
     """Extract propagation loss from the echo train of a sweep."""
     if (known_r is None) == (known_alpha is None):
         raise ArgumentError("supply exactly one of --known-r or --known-alpha")
@@ -297,7 +292,7 @@ def echo_loss(state, input, length, vg, known_r, known_alpha, n_max, window, edg
             f"{sweep.freqs.size} points x --oversample {oversample} exceeds "
             f"the {MAX_POINTS}-point transform limit"
         )
-    ir = impulse_response(sweep, window=window, edge_fraction=edge_fraction, oversample=oversample)
+    ir = impulse_response(sweep, edge_fraction=edge_fraction, oversample=oversample)
     train = detect_echoes(ir, 2.0 * length / vg, n_max)
     if known_alpha is not None:
         known_alpha = db_convert(known_alpha, "db_per_mm_to_per_m_power")

@@ -191,37 +191,6 @@ def _sample_ranges(x: np.ndarray, windows: np.ndarray):
     return np.searchsorted(x, windows[:, 0], "left"), np.searchsorted(x, windows[:, 1], "right")
 
 
-def _window_blocks(trace: Series, windows, min_samples: int):
-    """Each window's samples, one 2-D block per sample count: (blocks, errors).
-
-    A block is (window indices, x rows, |y| rows, row medians); errors maps each window
-    left out to its ArgumentError (too few samples) or FitError (flat trace).
-    """
-    windows = np.asarray(windows, dtype=float)
-    if windows.shape[1:] != (2,):
-        raise ArgumentError("a window is one (lo, hi) pair")
-    if not np.all(windows[:, 0] < windows[:, 1]):
-        raise ArgumentError("window must satisfy lo < hi")
-    start, stop = _sample_ranges(trace.x, windows)
-    n = stop - start
-    errors = {}
-    for i in np.flatnonzero(n < min_samples).tolist():
-        errors[i] = ArgumentError(f"window contains {n[i]} samples, needs at least {min_samples}")
-    values = _magnitude(trace.y)
-    blocks = []
-    for size in np.unique(n[n >= min_samples]).tolist():
-        rows = np.flatnonzero(n == size)
-        take = start[rows, None] + np.arange(size)
-        x, y = trace.x[take], values[take]
-        median = np.median(y, axis=1)
-        ptp = y.max(axis=1) - y.min(axis=1)
-        flat = ptp <= 1e-14 * np.maximum(np.maximum(np.abs(median), ptp), 1.0)
-        for i in rows[flat].tolist():
-            errors[i] = FitError("degenerate fit: trace is flat in the window")
-        blocks.append((rows[~flat], x[~flat], y[~flat], median[~flat]))
-    return blocks, errors
-
-
 def _half_height_width(x, y, i_peak, offset, amplitude):
     """Width at half height of the peak at column i_peak[j] of each row j.
 
@@ -238,50 +207,65 @@ def _half_height_width(x, y, i_peak, offset, amplitude):
     return np.where(width <= 0, (x[:, -1] - x[:, 0]) / 6.0, width)
 
 
-def _fit_peaks(starts) -> List[Union[FitResult, ArgumentError, FitError]]:
-    """Fit the Lorentzian (f0, fwhm, amplitude, offset) from each start of _lorentzian_starts.
+def _fit_windows(trace: Series, windows) -> List[Union[FitResult, ArgumentError, FitError]]:
+    """Fit the Lorentzian (f0, fwhm, amplitude, offset) in each (lo, hi) window.
 
-    A start is (x, y, window, init), or the error of a window without
-    one, which passes through. Each f0 stays in its window and each fwhm
-    in [step/1000, 10 span]. Every fit goes into one least_squares_stack
-    call, whatever its length. Returns one outcome per start: the fit's
-    converged FitResult, or an error; a FitError of a fit that did not
-    converge has the FitResult attached.
+    A fit starts at the window's argmax, with its median as offset and
+    its width at half height. Each f0 stays in its window and each fwhm
+    in [step/1000, 10 span]. The windows are gathered as one 2-D block
+    per sample count, and every fit goes into one least_squares_stack
+    call, whatever its length. Returns one outcome per window: the fit's
+    converged FitResult; an ArgumentError for fewer than 8 samples; or a
+    FitError for a flat trace, or for a fit that did not converge, with
+    the FitResult attached.
     """
-    fits = [start for start in starts if isinstance(start, tuple)]
-    if not fits:
-        return list(starts)
-    model, jacobian = numerics.SHIPPED_MODELS["lorentzian"]
-    xs, ys, windows, inits = zip(*fits)
-    window = np.array(windows, dtype=float)
-    step = np.array([(x[1:] - x[:-1]).min() for x in xs])
-    span = np.array([x[-1] - x[0] for x in xs])
-    inf = np.full(len(fits), np.inf)
-    lower = np.column_stack([window[:, 0], step * 1e-3, -inf, -inf])
-    upper = np.column_stack([window[:, 1], span * 10.0, inf, inf])
-    results = iter(
-        numerics.least_squares_stack(model, xs, ys, inits, lower, upper, jacobian=jacobian)
-    )
-    outcomes = [next(results) if isinstance(start, tuple) else start for start in starts]
-    return [
-        FitError(f"lorentzian fit did not converge: {outcome.message}", outcome)
-        if isinstance(outcome, FitResult) and not outcome.converged else outcome
-        for outcome in outcomes
+    windows = np.asarray(windows, dtype=float)
+    if windows.shape[1:] != (2,):
+        raise ArgumentError("a window is one (lo, hi) pair")
+    if not np.all(windows[:, 0] < windows[:, 1]):
+        raise ArgumentError("window must satisfy lo < hi")
+    start, stop = _sample_ranges(trace.x, windows)
+    n = stop - start
+    outcomes = [
+        ArgumentError(f"window contains {size} samples, needs at least 8") if size < 8 else None
+        for size in n.tolist()
     ]
-
-
-def _lorentzian_starts(trace: Series, windows) -> List[Union[tuple, ArgumentError, FitError]]:
-    """(x, y, window, init) of a Lorentzian fit in each window, or why it has none."""
-    blocks, errors = _window_blocks(trace, windows, 8)
-    starts = [errors.get(i) for i in range(len(windows))]
-    for rows, x, y, off0 in blocks:
-        i_max = y.argmax(axis=1)
-        amp0 = y[np.arange(rows.size), i_max] - off0
-        f0 = x[np.arange(rows.size), i_max]
-        init = np.column_stack([f0, _half_height_width(x, y, i_max, off0, amp0), amp0, off0])
-        for i, xi, yi, p in zip(rows.tolist(), x, y, init):
-            starts[i] = (xi, yi, windows[i], p)
-    return starts
+    values = _magnitude(trace.y)
+    rows, xs, ys, inits, lower, upper = [], [], [], [], [], []
+    for size in np.unique(n[n >= 8]).tolist():
+        block = np.flatnonzero(n == size)
+        take = start[block, None] + np.arange(size)
+        x, y = trace.x[take], values[take]
+        off0 = np.median(y, axis=1)
+        ptp = y.max(axis=1) - y.min(axis=1)
+        flat = ptp <= 1e-14 * np.maximum(np.maximum(np.abs(off0), ptp), 1.0)
+        for i in block[flat].tolist():
+            outcomes[i] = FitError("degenerate fit: trace is flat in the window")
+        block, x, y, off0 = block[~flat], x[~flat], y[~flat], off0[~flat]
+        i_max, r = y.argmax(axis=1), np.arange(block.size)
+        amp0 = y[r, i_max] - off0
+        width = _half_height_width(x, y, i_max, off0, amp0)
+        inits.append(np.column_stack([x[r, i_max], width, amp0, off0]))
+        inf = np.full(block.size, np.inf)
+        step, span = np.diff(x, axis=1).min(axis=1), x[:, -1] - x[:, 0]
+        lower.append(np.column_stack([windows[block, 0], step * 1e-3, -inf, -inf]))
+        upper.append(np.column_stack([windows[block, 1], span * 10.0, inf, inf]))
+        rows += block.tolist()
+        xs += list(x)
+        ys += list(y)
+    if rows:
+        model, jacobian = numerics.SHIPPED_MODELS["lorentzian"]
+        fits = numerics.least_squares_stack(
+            model, xs, ys, np.concatenate(inits), np.concatenate(lower), np.concatenate(upper),
+            jacobian=jacobian,
+        )
+        # each stack row is fitted as if alone, so block order gives each window its own result
+        for i, fit in zip(rows, fits):
+            outcomes[i] = (
+                FitError(f"lorentzian fit did not converge: {fit.message}", fit)
+                if isinstance(fit, FitResult) and not fit.converged else fit
+            )
+    return outcomes
 
 
 def fit_lorentzian(trace: Series, window: Tuple[float, float]) -> FitResult:
@@ -293,7 +277,7 @@ def fit_lorentzian(trace: Series, window: Tuple[float, float]) -> FitResult:
     ArgumentError on a window with too few samples and FitError on
     degenerate or non-converged fits, with the FitResult attached.
     """
-    (outcome,) = _fit_peaks(_lorentzian_starts(trace, [window]))
+    (outcome,) = _fit_windows(trace, [window])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -479,9 +463,7 @@ def cavity_report(
         )
     raw_spacing = float(np.median(np.diff(raw_peaks)))
 
-    # every candidate's start first, then all fits in one stacked call
-    starts = _lorentzian_starts(trace, _peak_windows(sweep.freqs, step, raw_peaks, raw_spacing))
-    outcomes = _fit_peaks(starts)
+    outcomes = _fit_windows(trace, _peak_windows(sweep.freqs, step, raw_peaks, raw_spacing))
     mode_fits = [outcome for outcome in outcomes if isinstance(outcome, FitResult)]
     rejected = [
         (f, str(outcome)) for f, outcome in zip(raw_peaks, outcomes)

@@ -123,21 +123,17 @@ class LossModel:
             raise ArgumentError("T must lie in [0, 1]")
         if not 0 <= self.r <= 1:
             raise ArgumentError("R must lie in [0, 1]")
-        if self.alpha < 0:
-            raise ArgumentError("alpha must be nonnegative")
-        if self.length <= 0:
-            raise ArgumentError("length must be positive")
+        if not 0 <= self.alpha < math.inf:
+            raise ArgumentError("alpha must be nonnegative and finite")
+        if not 0 < self.length < math.inf:
+            raise ArgumentError("length must be positive and finite")
 
     @property
     def alpha_db_per_mm(self) -> float:
         return db_convert(self.alpha, "per_m_to_db_per_mm_power")
 
 
-def _window_array(n: int, window: Optional[str], edge_fraction: float) -> np.ndarray:
-    if window in (None, "none"):
-        return np.ones(n)
-    if window != "raised_cosine":
-        raise ArgumentError(f"unknown window {window!r}")
+def _window_array(n: int, edge_fraction: float) -> np.ndarray:
     if not 0.0 <= edge_fraction <= 0.5:
         raise ArgumentError("edge_fraction must lie in [0, 0.5]")
     w = np.ones(n)
@@ -151,24 +147,23 @@ def _window_array(n: int, window: Optional[str], edge_fraction: float) -> np.nda
 
 def impulse_response(
     sweep: NetworkSweep,
-    window: Optional[str] = "raised_cosine",
     edge_fraction: float = 0.1,
     oversample: int = 1,
 ) -> ImpulseResponse:
     """Windowed inverse DFT of S21 onto a uniform tau grid.
 
-    The default raised-cosine window tapers 10% of the band at each edge
-    to suppress leakage into late-time bins; window='none' keeps the
-    transform exactly unitary for property checks. oversample zero-pads
-    the spectrum by that integer factor, refining the tau grid without
-    changing which physical delays exist.
+    A raised-cosine window tapers edge_fraction of the band at each edge
+    (10% by default) to suppress leakage into late-time bins;
+    edge_fraction=0 keeps the transform exactly unitary for property
+    checks. oversample zero-pads the spectrum by that integer factor,
+    refining the tau grid without changing which physical delays exist.
     """
     df = grid_step(sweep.freqs)
     s = sweep.pair((2, 1))
     if not isinstance(oversample, (int, np.integer)) or oversample < 1:
         raise ArgumentError("oversample must be a positive integer")
     n = s.size
-    w = _window_array(n, window, edge_fraction)
+    w = _window_array(n, edge_fraction)
     m = n * oversample
     h = dft(s * w, "inverse", n=m)
     dtau = 1.0 / (m * df)
@@ -209,19 +204,19 @@ def time_gate(sweep: NetworkSweep, gate: Tuple[float, float]) -> NetworkSweep:
     )
 
 
-def _refine_peak(mag: np.ndarray, j: int, dtau: float, tau0: float):
-    """Parabolic vertex through the peak bin and its two neighbors."""
+def _refine_peak(mag: np.ndarray, j: int, dtau: float):
+    """Parabolic vertex through the peak bin and its two neighbors, on a grid from tau = 0."""
     if j <= 0 or j >= mag.size - 1:
-        return tau0 + j * dtau, float(mag[j])
+        return j * dtau, float(mag[j])
     y0, y1, y2 = float(mag[j - 1]), float(mag[j]), float(mag[j + 1])
     den = y0 - 2.0 * y1 + y2
     if den >= 0:
-        return tau0 + j * dtau, y1
+        return j * dtau, y1
     x = (y0 - y2) / (2.0 * den)
     if abs(x) > 1:
-        return tau0 + j * dtau, y1
+        return j * dtau, y1
     y = y1 + 0.5 * (y2 - y0) * x + 0.5 * den * x * x
-    return tau0 + (j + x) * dtau, y
+    return (j + x) * dtau, y
 
 
 def detect_echoes(
@@ -262,7 +257,7 @@ def detect_echoes(
                 "increase the band span or oversampling"
             )
         offset = a + int(np.argmax(mag[a:b]))
-        tau_n, h_n = _refine_peak(mag, offset, dtau, 0.0)
+        tau_n, h_n = _refine_peak(mag, offset, dtau)
         tau_n = min(max(tau_n, lo), hi - dtau)
         found.append((tau_n, h_n))
 
@@ -417,12 +412,16 @@ def synthesize_echo_network(
         raise ArgumentError("band must be positive with f_hi > f_lo")
     if n_points < 16:
         raise ArgumentError("n_points must be at least 16")
-    if v_g <= 0:
-        raise ArgumentError("group velocity must be positive")
+    if not 0 < v_g < math.inf:
+        raise ArgumentError("group velocity must be positive and finite")
     if not np.isfinite(crosstalk):
         raise ArgumentError("crosstalk must be finite")
     if not 0 <= noise_sigma < math.inf:
         raise ArgumentError("noise_sigma must be nonnegative and finite")
+    if idt_response is not None:
+        center, frac_bw = idt_response
+        if not (0 < center < math.inf and 0 < frac_bw < math.inf):
+            raise ArgumentError("idt_response needs positive, finite center and bandwidth")
     f = np.linspace(f_lo, f_hi, n_points)
     df = f[1] - f[0]
 
@@ -442,9 +441,6 @@ def synthesize_echo_network(
         amplitude = model.t * math.exp(-model.alpha * model.length / 2.0)
         arrivals = amplitude * _echo_sum(f * (2.0 * model.length / v_g), rho, n_cut + 1)
         if idt_response is not None:
-            center, frac_bw = idt_response
-            if center <= 0 or frac_bw <= 0:
-                raise ArgumentError("idt_response needs positive center and bandwidth")
             half = center * frac_bw / 2.0
             x = np.clip((f - center) / half, -1.0, 1.0)
             envelope = np.where(np.abs(f - center) <= half, np.cos(np.pi * x / 2.0) ** 2, 0.0)

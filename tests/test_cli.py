@@ -1050,7 +1050,7 @@ FUZZ_COMMANDS = {
         {"--input": "paper.s2p", "--length": "58.565u", "--vg": "6161", "--known-r": "0.6"},
         {"--input": INPUT_POOL, "--length": SI_POOL, "--vg": SI_POOL, "--known-r": FLOAT_POOL,
          "--known-alpha": FLOAT_POOL, "--n-max": ["-1", "0", "1", "4", "16"],
-         "--window": ["none", "bogus"], "--edge-fraction": FLOAT_POOL,
+         "--edge-fraction": FLOAT_POOL,
          "--oversample": ["-1", "0", "1", "2", "8"]},
     ),
     "gate": (

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from sawkit import specanalysis
 from sawkit.errors import ArgumentError, FitError, InconsistencyError
 from sawkit.ingest import NetworkSweep, parse_touchstone, write_touchstone
-from sawkit.numerics import Series, db_convert
+from sawkit.numerics import FitResult, Series, db_convert
 from sawkit.specanalysis import (
     CavityGeometry,
     CavityReport,
@@ -434,7 +434,7 @@ def reference_lorentzian_start(trace, window):
 class TestLorentzianStarts:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("cavity", ["paper", "high_finesse"])
-    def test_batched_starts_are_the_per_window_starts(self, seed, cavity):
+    def test_batched_starts_are_the_per_window_starts(self, seed, cavity, monkeypatch):
         # the benchmark's cavity_fits fixtures for this seed
         if cavity == "paper":
             sweep = paper_cavity_sweep(seed=3 * seed)
@@ -456,29 +456,48 @@ class TestLorentzianStarts:
             (x[100], x[103]), (x[100], x[106] + step / 2), (x[-1] + 1.0, x[-1] + 1e6),
             (x[2010], x[2080]), (x[2050], x[2099]), (x[2090], x[2200]),
         ]
-        starts = specanalysis._lorentzian_starts(trace, windows)
-        assert len(starts) == len(windows)
+        # what least_squares_stack receives from each single-window fit
+        received = []
+        stack = specanalysis.numerics.least_squares_stack
+
+        def recorded(model, xs, ys, init, lower, upper, **kwargs):
+            received.append((xs, ys, init, lower, upper))
+            return stack(model, xs, ys, init, lower, upper, **kwargs)
+
+        monkeypatch.setattr(specanalysis.numerics, "least_squares_stack", recorded)
+        singles = []
         errors = set()
-        for window, start in zip(windows, starts):
+        for window in windows:
+            received.clear()
+            (outcome,) = specanalysis._fit_windows(trace, [window])
+            singles.append(outcome)
             try:
                 ref_x, ref_y, _, ref_init = reference_lorentzian_start(trace, window)
             except (ArgumentError, FitError) as exc:
-                assert type(start) is type(exc) and str(start) == str(exc)
+                assert type(outcome) is type(exc) and str(outcome) == str(exc)
+                assert received == []
                 errors.add(str(exc).split(" samples")[0])
                 continue
-            got_x, got_y, got_window, got_init = start
+            [((got_x,), (got_y,), init, lower, upper)] = received
             assert got_x.tobytes() == ref_x.tobytes() and got_y.tobytes() == ref_y.tobytes()
-            assert got_init.tobytes() == np.array(ref_init, dtype=float).tobytes()
-            assert tuple(got_window) == tuple(window)
+            assert init.tobytes() == np.array([ref_init], dtype=float).tobytes()
+            assert (lower[0, 0], upper[0, 0]) == tuple(window)
         assert errors == {
             "window contains 4", "window contains 7", "window contains 0",
             "degenerate fit: trace is flat in the window",
         }
+        # all windows in one call: stack rows in sample-count blocks, outcomes in window order
+        batched = specanalysis._fit_windows(trace, windows)
+        assert len(batched) == len(windows)
+        for single, outcome in zip(singles, batched):
+            assert type(outcome) is type(single) and str(outcome) == str(single)
+            if isinstance(single, FitResult):
+                assert outcome.params.tobytes() == single.params.tobytes()
         for window in ((x[100], x[100]), (x[101], x[100])):
             with pytest.raises(ArgumentError, match="^window must satisfy lo < hi$"):
                 reference_lorentzian_start(trace, window)
             with pytest.raises(ArgumentError, match="^window must satisfy lo < hi$"):
-                specanalysis._lorentzian_starts(trace, [window])
+                specanalysis._fit_windows(trace, [window])
 
 
 class TestCavityReport:
@@ -606,14 +625,14 @@ class TestCavityReport:
 
     def test_fewer_than_two_fitted_modes(self, monkeypatch):
         freqs, y, centers = comb_trace()
-        fit = specanalysis._fit_peaks
+        stack = specanalysis.numerics.least_squares_stack
 
-        def fit_first_only(fits):
-            first, *rest = fit(fits)
+        def fit_first_only(*args, **kwargs):
+            first, *rest = stack(*args, **kwargs)
             failure = FitError("lorentzian fit did not converge: max iterations reached")
             return [first] + [failure] * len(rest)
 
-        monkeypatch.setattr(specanalysis, "_fit_peaks", fit_first_only)
+        monkeypatch.setattr(specanalysis.numerics, "least_squares_stack", fit_first_only)
         with pytest.raises(FitError, match=f"^1 of {len(centers)} peaks fitted"):
             cavity_report(make_sweep((2, 1), y, freqs), GEOM)
 

@@ -52,7 +52,7 @@ def flat_sweep(value=1.0, band=(3.3e9, 4.3e9), n=2001):
 
 class TestImpulseResponse:
     def test_unity_spectrum_concentrates_at_zero(self):
-        ir = impulse_response(flat_sweep(), window=None)
+        ir = impulse_response(flat_sweep(), edge_fraction=0)
         assert np.argmax(np.abs(ir.h)) == 0
         rest = np.abs(ir.h[1:])
         assert rest.max() < 1e-9 * abs(ir.h[0])
@@ -62,7 +62,7 @@ class TestImpulseResponse:
         freqs = np.linspace(3.3e9, 4.3e9, 2001)
         s21 = np.exp(-2j * np.pi * freqs * tau0)
         sweep = NetworkSweep(freqs=freqs, s={(2, 1): s21})
-        ir = impulse_response(sweep, window=None)
+        ir = impulse_response(sweep, edge_fraction=0)
         d_tau = ir.tau[1] - ir.tau[0]
         peak_tau = ir.tau[np.argmax(np.abs(ir.h))]
         assert abs(peak_tau - tau0) <= d_tau / 2
@@ -70,7 +70,7 @@ class TestImpulseResponse:
     def test_grid_spacing_is_sample_rate_reciprocal(self):
         freqs = np.linspace(3.3e9, 4.3e9, 2001)
         sweep = NetworkSweep(freqs=freqs, s={(2, 1): np.ones(2001, complex)})
-        ir = impulse_response(sweep, window=None)
+        ir = impulse_response(sweep, edge_fraction=0)
         n = len(freqs)
         df = freqs[1] - freqs[0]
         assert ir.tau[1] - ir.tau[0] == pytest.approx(1.0 / (n * df), rel=1e-12)
@@ -80,14 +80,14 @@ class TestImpulseResponse:
         freqs = np.array([1e9, 1.1e9, 1.25e9, 1.3e9])
         sweep = NetworkSweep(freqs=freqs, s={(2, 1): np.ones(4, complex)})
         with pytest.raises(GridError, match="(?i)resampl"):
-            impulse_response(sweep, window=None)
+            impulse_response(sweep, edge_fraction=0)
 
     def test_parseval_with_no_window(self):
         rng = np.random.default_rng(5)
         freqs = np.linspace(3.3e9, 4.3e9, 512)
         s21 = rng.normal(size=512) + 1j * rng.normal(size=512)
         sweep = NetworkSweep(freqs=freqs, s={(2, 1): s21})
-        ir = impulse_response(sweep, window=None)
+        ir = impulse_response(sweep, edge_fraction=0)
         assert np.sum(np.abs(ir.h) ** 2) == pytest.approx(
             np.sum(np.abs(s21) ** 2), rel=1e-10
         )
@@ -98,13 +98,9 @@ class TestImpulseResponse:
         with pytest.raises(ArgumentError):
             impulse_response(sweep)
 
-    def test_unknown_window(self):
-        with pytest.raises(ArgumentError):
-            impulse_response(flat_sweep(), window="hamming")
-
     def test_oversample_refines_grid(self):
-        ir1 = impulse_response(flat_sweep(), window=None, oversample=1)
-        ir4 = impulse_response(flat_sweep(), window=None, oversample=4)
+        ir1 = impulse_response(flat_sweep(), edge_fraction=0, oversample=1)
+        ir4 = impulse_response(flat_sweep(), edge_fraction=0, oversample=4)
         d1 = ir1.tau[1] - ir1.tau[0]
         d4 = ir4.tau[1] - ir4.tau[0]
         assert d4 == pytest.approx(d1 / 4, rel=1e-12)
@@ -236,12 +232,12 @@ class TestDetectEchoes:
             assert b.h_max / a.h_max == pytest.approx(ratio_true, rel=1e-3)
 
 
-def reference_impulse_response(sweep, window="raised_cosine", edge_fraction=0.1, oversample=1):
+def reference_impulse_response(sweep, edge_fraction=0.1, oversample=1):
     """impulse_response with an explicitly zero-padded spectrum and an integer tau ramp."""
     df = grid_step(sweep.freqs)
     s = sweep.pair((2, 1))
     n = s.size
-    w = _window_array(n, window, edge_fraction)
+    w = _window_array(n, edge_fraction)
     padded = np.zeros(n * oversample, dtype=complex)
     padded[:n] = s * w
     h = dft(padded, "inverse")
@@ -275,7 +271,7 @@ def reference_detect_echoes(ir, expected_round_trip, n_max):
                 "increase the band span or oversampling"
             )
         offset = int(np.argmax(np.where(mask, mag, -1.0)))
-        tau_n, h_n = _refine_peak(mag, offset, dtau, 0.0)
+        tau_n, h_n = _refine_peak(mag, offset, dtau)
         tau_n = min(max(tau_n, lo), hi - dtau)
         peaks.append(EchoPeak(n=n, tau=tau_n, h_max=h_n / ir.window_gain,
                               below_noise_floor=h_n < noise_floor))
@@ -307,7 +303,6 @@ class TestTimeDomainOracle:
     @given(
         n_points=st.integers(min_value=16, max_value=700),
         oversample=st.integers(min_value=1, max_value=16),
-        window=st.sampled_from(["raised_cosine", "none"]),
         edge_fraction=st.floats(min_value=0.0, max_value=0.5),
         r=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
         length=st.floats(min_value=5e-6, max_value=400e-6),
@@ -315,14 +310,14 @@ class TestTimeDomainOracle:
         data=st.data(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_bit_identical(self, n_points, oversample, window, edge_fraction, r, length,
+    def test_bit_identical(self, n_points, oversample, edge_fraction, r, length,
                            noise, data):
         model = LossModel(t=0.3, r=r, alpha=alpha_per_m(3.2), length=length)
         sweep = synthesize_echo_network(model, V_G, (2.8e9, 8.8e9), n_points,
                                         noise_sigma=noise, seed=3)
-        ir = impulse_response(sweep, window=window, edge_fraction=edge_fraction,
+        ir = impulse_response(sweep, edge_fraction=edge_fraction,
                               oversample=oversample)
-        ref = reference_impulse_response(sweep, window=window, edge_fraction=edge_fraction,
+        ref = reference_impulse_response(sweep, edge_fraction=edge_fraction,
                                          oversample=oversample)
         assert ir.tau.tobytes() == ref.tau.tobytes()
         assert ir.h.tobytes() == ref.h.tobytes()
@@ -568,6 +563,20 @@ class TestSynthesizeEchoNetwork:
         with pytest.raises(ArgumentError, match="noise_sigma must be nonnegative and finite"):
             synthesize_echo_network(REF_MODEL, V_G, (3.3e9, 4.3e9), 64, noise_sigma=sigma, seed=1)
 
+    @pytest.mark.parametrize("v_g", [0.0, -V_G, math.inf, math.nan])
+    def test_group_velocity_must_be_positive_and_finite(self, v_g):
+        with pytest.raises(ArgumentError, match="group velocity must be positive and finite"):
+            synthesize_echo_network(REF_MODEL, v_g, (3.3e9, 4.3e9), 64)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    @pytest.mark.parametrize("idt", [(3.8e9, math.nan), (math.nan, 0.2), (3.8e9, math.inf),
+                                     (math.inf, 0.2), (0.0, 0.2), (3.8e9, -0.2)])
+    def test_idt_response_must_be_positive_and_finite(self, idt, t):
+        # checked with T = 0 too, where no arrival is summed
+        model = LossModel(t=t, r=0.1, alpha=1.0, length=1e-4)
+        with pytest.raises(ArgumentError, match="idt_response needs positive, finite"):
+            synthesize_echo_network(model, V_G, (3.3e9, 4.3e9), 64, idt_response=idt)
+
 
 def reference_n_cut(model, v_g, df):
     """The echo series' last index N, by the rules synthesize_echo_network documents."""
@@ -777,6 +786,16 @@ class TestLossModelType:
             LossModel(t=0.3, r=-0.1, alpha=1.0, length=1e-4)
         with pytest.raises(ArgumentError):
             LossModel(t=0.3, r=0.1, alpha=1.0, length=0.0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, math.inf, math.nan])
+    def test_alpha_must_be_nonnegative_and_finite(self, alpha):
+        with pytest.raises(ArgumentError, match="alpha must be nonnegative and finite"):
+            LossModel(t=0.3, r=0.1, alpha=alpha, length=1e-4)
+
+    @pytest.mark.parametrize("length", [-1e-4, math.inf, math.nan])
+    def test_length_must_be_positive_and_finite(self, length):
+        with pytest.raises(ArgumentError, match="length must be positive and finite"):
+            LossModel(t=0.3, r=0.1, alpha=1.0, length=length)
 
     def test_boundary_values_allowed(self):
         LossModel(t=0.0, r=0.0, alpha=0.0, length=1e-4)

@@ -7,7 +7,9 @@ Prints one line per fit:
 where the last three fields are the sha256 of the bytes of the fitted
 params, of the covariance (`none` when the fit has none) and of the
 residual norm as a float64, and <message> is the fit's message in
-quotes. Each candidate a cavity report left out prints one more line,
+quotes. A cavity report's line ends with the mode's internal Q,
+`q_internal=<value>` (`nan` without S11 data). Each candidate a cavity
+report left out prints one more line,
 `<seed> <call> rejected <frequency> <reason>`. The fits are those of the
 benchmark's `CavityFits` set-up (bench/workloads.py, read only) for
 seeds 1 to 5:
@@ -16,6 +18,10 @@ seeds 1 to 5:
 - `paper_all_candidates`: the paper cavity with every noise maximum as a
   candidate (`min_prominence=0`, `min_spacing=5e6`), whose two rejected
   candidates run the full iteration budget;
+- `paper_s11_only`: the paper cavity as an S11-only sweep, S11 = 1 -
+  0.8 |S21| / max |S21| (as `tools/cli_digest.py` builds `paper_s11`),
+  whose modes are fitted on the inverted |S11| and whose dips give each
+  mode's internal Q;
 - `rabi`: `qdyn.fit_rabi` on the noisy Rabi trace, a stack of one fit.
 
 The `sawkit` package that runs is the one on PYTHONPATH, so two
@@ -39,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from workloads import GEOMETRY, CavityFits  # noqa: E402
 
-from sawkit import qdyn, specanalysis  # noqa: E402
+from sawkit import ingest, qdyn, specanalysis  # noqa: E402
 
 SEEDS = range(1, 6)
 
@@ -61,6 +67,8 @@ def digest_lines(seed: int):
     bench = CavityFits()
     with tempfile.TemporaryDirectory(prefix="fit_digest-") as work:
         bench.setup(Path(work), seed)
+    s21 = np.abs(bench.paper.pair((2, 1)))
+    s11_only = ingest.NetworkSweep(bench.paper.freqs, {(1, 1): 1.0 - 0.8 * s21 / s21.max()})
     reports = {
         "paper": specanalysis.cavity_report(bench.paper, GEOMETRY, alpha_db_per_mm=2.0),
         "high_finesse": specanalysis.cavity_report(
@@ -69,10 +77,11 @@ def digest_lines(seed: int):
         "paper_all_candidates": specanalysis.cavity_report(
             bench.paper, GEOMETRY, min_prominence=0, min_spacing=5e6
         ),
+        "paper_s11_only": specanalysis.cavity_report(s11_only, GEOMETRY, alpha_db_per_mm=2.0),
     }
     for call, report in reports.items():
-        for row, result in enumerate(report.mode_fits):
-            yield fit_line(seed, call, row, result)
+        for row, (result, q) in enumerate(zip(report.mode_fits, report.q_internal.tolist())):
+            yield f"{fit_line(seed, call, row, result)} q_internal={q!r}"
         for freq, reason in report.rejected:
             yield f"{seed} {call} rejected {freq!r} {reason}"
     yield fit_line(seed, "rabi", 0, qdyn.fit_rabi(bench.trace).result)
