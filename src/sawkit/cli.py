@@ -35,7 +35,8 @@ EXIT_USAGE = 2
 EXIT_ANALYSIS = 3
 
 # Largest sweep a flag may ask for, and largest oversampled transform
-# echo-loss may build: 2**22 points, 64 MiB per complex vector.
+# echo-loss may build: 2**22 points, 64 MiB per complex vector. 2**22 is
+# 2·3·5-smooth, so it also bounds the length impulse_response rounds up to.
 MAX_POINTS = 1 << 22
 
 
@@ -278,7 +279,8 @@ def cavity(state, input, d, lambda0, n_mirror, vg, alpha_db_mm, prominence, spac
 @click.option("--n-max", type=click.IntRange(min=0), default=4, show_default=True, help="Highest echo index.")
 @click.option("--edge-fraction", type=FiniteFloat(0, 0.5), default=0.5, show_default=True,
               help="Band share tapered at each edge; 0 leaves the transform unwindowed.")
-@click.option("--oversample", type=click.IntRange(min=1), default=16, show_default=True)
+@click.option("--oversample", type=click.IntRange(min=1), default=16, show_default=True,
+              help="Least tau-grid refinement; the transform rounds up to a fast length.")
 @pass_state
 def echo_loss(state, input, length, vg, known_r, known_alpha, n_max, edge_fraction, oversample):
     """Extract propagation loss from the echo train of a sweep."""

@@ -43,11 +43,11 @@ __all__ = [
 class ImpulseResponse:
     """Time-domain response of one port pair.
 
-    tau is a uniform grid starting at 0 with step 1/(N df), so a physical
-    delay lands on the same tau regardless of how many points the sweep
-    has. window_gain is sum(window)/sqrt(M) for the unitary transform of
-    M (possibly zero-padded) bins; dividing a peak of |h| by it recovers
-    the arrival's amplitude as it appears in S21.
+    tau is a uniform grid starting at 0 with step 1/(M df), M the
+    transform length, so a physical delay lands on the same tau regardless
+    of how many points the sweep has. window_gain is sum(window)/sqrt(M)
+    for the unitary transform of M (possibly zero-padded) bins; dividing a
+    peak of |h| by it recovers the arrival's amplitude as it appears in S21.
     """
 
     tau: np.ndarray
@@ -145,6 +145,18 @@ def _window_array(n: int, edge_fraction: float) -> np.ndarray:
     return w
 
 
+def _fast_length(m: int) -> int:
+    """Smallest integer at least m with no prime factor above 5."""
+    best, p5 = 1 << (m - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def impulse_response(
     sweep: NetworkSweep,
     edge_fraction: float = 0.1,
@@ -155,8 +167,9 @@ def impulse_response(
     A raised-cosine window tapers edge_fraction of the band at each edge
     (10% by default) to suppress leakage into late-time bins;
     edge_fraction=0 keeps the transform exactly unitary for property
-    checks. oversample zero-pads the spectrum by that integer factor,
-    refining the tau grid without changing which physical delays exist.
+    checks. oversample is a lower bound on the refinement: 1 is the plain
+    n-point DFT, and more zero-pads to the fast 2·3·5-smooth length M at
+    least n·oversample (tau step 1/(M df)); no physical delay moves.
     """
     df = grid_step(sweep.freqs)
     s = sweep.pair((2, 1))
@@ -164,7 +177,7 @@ def impulse_response(
         raise ArgumentError("oversample must be a positive integer")
     n = s.size
     w = _window_array(n, edge_fraction)
-    m = n * oversample
+    m = n if oversample == 1 else _fast_length(n * oversample)
     h = dft(s * w, "inverse", n=m)
     dtau = 1.0 / (m * df)
     tau = np.arange(m, dtype=float)

@@ -9,10 +9,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from sawkit.cli import _write_atomic, main
+from sawkit.cli import MAX_POINTS, _write_atomic, main
 from sawkit.ingest import parse_csv_sweep, parse_touchstone, write_touchstone
 from sawkit.numerics import db_convert
-from sawkit.timedomain import LossModel, synthesize_echo_network
+from sawkit.timedomain import LossModel, _fast_length, synthesize_echo_network
 
 
 @pytest.fixture
@@ -361,6 +361,11 @@ class TestIntegerFlags:
 
     ECHO = ["echo-loss", "--length", "130u", "--vg", "6161", "--known-r", "0.1"]
     RABI = ["simulate", "rabi", "--rabi-mhz", "33.4"]
+
+    def test_point_limit_bounds_the_transform_length(self):
+        # echo-loss checks points x --oversample against the limit, and the
+        # rounded-up length stays within it because the limit is 2·3·5-smooth
+        assert _fast_length(MAX_POINTS) == MAX_POINTS
 
     @pytest.mark.parametrize(
         "command, flag, value, message",

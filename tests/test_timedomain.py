@@ -23,6 +23,7 @@ from sawkit.timedomain import (
     EchoTrain,
     ImpulseResponse,
     LossModel,
+    _fast_length,
     _refine_peak,
     _window_array,
     detect_echoes,
@@ -43,6 +44,19 @@ def alpha_per_m(db_per_mm):
 
 REF_MODEL = LossModel(t=0.3, r=0.1, alpha=alpha_per_m(3.2), length=130e-6)
 V_G = 6161.0
+
+
+def smooth_at_least(m):
+    """The first integer from m up with no prime factor above 5, by scanning."""
+    k = m
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
 
 
 def flat_sweep(value=1.0, band=(3.3e9, 4.3e9), n=2001):
@@ -99,16 +113,36 @@ class TestImpulseResponse:
             impulse_response(sweep)
 
     def test_oversample_refines_grid(self):
-        ir1 = impulse_response(flat_sweep(), edge_fraction=0, oversample=1)
-        ir4 = impulse_response(flat_sweep(), edge_fraction=0, oversample=4)
-        d1 = ir1.tau[1] - ir1.tau[0]
-        d4 = ir4.tau[1] - ir4.tau[0]
-        assert d4 == pytest.approx(d1 / 4, rel=1e-12)
+        # 4 x 2,001 = 8,004 = 2**2 * 3 * 23 * 29 rounds up to 8,100
+        sweep = flat_sweep()
+        n, df = sweep.freqs.size, grid_step(sweep.freqs)
+        ir4 = impulse_response(sweep, edge_fraction=0, oversample=4)
+        assert ir4.h.size == _fast_length(4 * n) == 8100
+        assert ir4.step == pytest.approx(1.0 / (ir4.h.size * df), rel=1e-12)
+        assert ir4.tau[-1] < 1.0 / df
 
     def test_non_finite_tau_rejected(self):
         # echo windows are found by binary search, which needs a finite grid
         with pytest.raises(GridError, match="not finite"):
             ImpulseResponse(tau=[0.0, 1e-9, math.nan, 3e-9], h=np.ones(4, complex))
+
+
+class TestFastLength:
+    def test_matches_scan(self):
+        assert [_fast_length(m) for m in range(1, 5001)] == [
+            smooth_at_least(m) for m in range(1, 5001)
+        ]
+
+    def test_benchmark_lengths(self):
+        # 4,001 and 64,001 points at oversample 16
+        assert _fast_length(64016) == 64800
+        assert _fast_length(1024016) == 1036800
+
+    def test_monotone(self):
+        ms = np.unique(np.random.default_rng(23).integers(1, 1 << 22, 3000)).tolist()
+        lengths = [_fast_length(m) for m in ms]
+        assert lengths == sorted(lengths)
+        assert all(0 <= k - m < 0.1 * m + 2 for m, k in zip(ms, lengths))
 
 
 class TestTimeGate:
@@ -232,13 +266,20 @@ class TestDetectEchoes:
             assert b.h_max / a.h_max == pytest.approx(ratio_true, rel=1e-3)
 
 
-def reference_impulse_response(sweep, edge_fraction=0.1, oversample=1):
-    """impulse_response with an explicitly zero-padded spectrum and an integer tau ramp."""
+def reference_impulse_response(sweep, edge_fraction=0.1, oversample=1, length=None):
+    """impulse_response with an explicitly zero-padded spectrum and an integer tau ramp.
+
+    Above oversample 1 the spectrum is padded to the first 2·3·5-smooth
+    length at least n * oversample, found by scanning, unless length
+    gives the padded length outright.
+    """
     df = grid_step(sweep.freqs)
     s = sweep.pair((2, 1))
     n = s.size
     w = _window_array(n, edge_fraction)
-    padded = np.zeros(n * oversample, dtype=complex)
+    if length is None:
+        length = n if oversample == 1 else smooth_at_least(n * oversample)
+    padded = np.zeros(length, dtype=complex)
     padded[:n] = s * w
     h = dft(padded, "inverse")
     m = padded.size
@@ -367,7 +408,7 @@ class TestTimeDomainOracle:
 
 
 class TestTimeDomainMemory:
-    """tracemalloc peaks at 64,001 points and oversample 16 (1,024,016 bins).
+    """tracemalloc peaks at 64,001 points and oversample 16 (1,036,800 bins).
 
     tracemalloc sees numpy's array buffers but not pocketfft's own
     scratch, so these bound the temporaries sawkit allocates, not the
@@ -384,8 +425,8 @@ class TestTimeDomainMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # h (16.4 MB) and tau (8.2 MB) are the result; grid_step adds one 8.2 MB diff
-        assert ir.h.size == 16 * self.N
+        # h (16.6 MB) and tau (8.3 MB) are the result; grid_step adds one 8.3 MB diff
+        assert ir.h.size == 1036800
         assert peak < 36e6
 
     def test_detect_echoes(self):
@@ -831,3 +872,19 @@ class TestClosedLoop:
             fit = fit_echo_decay(train, model.length, known_r=model.r)
             assert fit.alpha == pytest.approx(model.alpha, rel=0.01)
             assert fit.t == pytest.approx(model.t, rel=0.02)
+
+    def test_fast_length_against_exact_padding(self):
+        # the README echo device: 4,001 points, R 0.1, 3.2 dB/mm, 130 um;
+        # 64,800 bins against an explicit 16 x 4,001 = 64,016-bin zero-pad
+        sweep = synthesize_echo_network(REF_MODEL, V_G, BAND, 4001)
+        ir = impulse_response(sweep, edge_fraction=0.5, oversample=16)
+        assert ir.h.size == 64800
+        exact = reference_impulse_response(sweep, edge_fraction=0.5, length=16 * 4001)
+        rt = 2 * REF_MODEL.length / V_G
+        trains = [detect_echoes(x, rt, 4) for x in (ir, exact)]
+        assert len(trains[0].peaks) == len(trains[1].peaks) == 5
+        for a, b in zip(trains[0].peaks, trains[1].peaks):
+            assert abs(a.tau - b.tau) <= 0.01 * ir.step
+            assert a.h_max == pytest.approx(b.h_max, rel=1e-5)
+        fast, ref = (fit_echo_decay(t, REF_MODEL.length, known_r=REF_MODEL.r) for t in trains)
+        assert fast.alpha == pytest.approx(ref.alpha, rel=1e-4)
