@@ -302,15 +302,8 @@ def echo_loss(state, input, length, vg, known_r, known_alpha, n_max, edge_fracti
     state.write("echo_train.csv", echo_train_csv(train))
     summary = loss_model_summary(model)
     state.write("loss_model.txt", summary.encode())
-    mags = [p.h_max for p in train.peaks]
-    state.maybe_plot(
-        "echo_train.svg",
-        [p.tau * 1e9 for p in train.peaks],
-        mags,
-        "echo train",
-        "arrival (ns)",
-        "|h|",
-    )
+    state.maybe_plot("echo_train.svg", train.peaks.tau * 1e9, train.peaks.h_max,
+                     "echo train", "arrival (ns)", "|h|")
     click.echo(summary, nl=False)
 
 

@@ -223,6 +223,8 @@ def sideband_spectrum(
         raise ArgumentError("orders must lie in 0..10")
     if linewidth <= 0 or mod_freq <= 0:
         raise ArgumentError("linewidth and mod_freq must be positive")
+    if not 0 < (linewidth / 2.0) * (linewidth / 2.0) < math.inf:  # the Lorentzian's hw²
+        raise ArgumentError(f"linewidth {linewidth:g} Hz squares out of the float range")
     f = np.asarray(f_grid, dtype=float)
     if f.size == 0:
         raise ArgumentError("frequency grid is empty")

@@ -92,6 +92,8 @@ class GaussianBeam:
     def __post_init__(self):
         if self.w0 <= 0 or self.wavelength <= 0:
             raise ArgumentError("waist and wavelength must be positive")
+        if not 0 < self.rayleigh_range < math.inf:
+            raise ArgumentError("waist and wavelength give no positive, finite Rayleigh range")
 
     @property
     def rayleigh_range(self) -> float:
@@ -130,6 +132,12 @@ STRAIN_G30 = StrainTensor(eps_xx=1.9624311400616016e-10)
 STRAIN_G70 = StrainTensor(eps_xx=4.5790059934770706e-10)
 
 
+def _finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise ArgumentError(f"{name} overflows for the given inputs")
+    return value
+
+
 def resonance_axial_field(omega_m: float, params: SivParams = SIV_DEFAULTS) -> float:
     """Axial field bringing the spin splitting onto a mode at omega_m.
 
@@ -137,8 +145,7 @@ def resonance_axial_field(omega_m: float, params: SivParams = SIV_DEFAULTS) -> f
     """
     if omega_m <= 0:
         raise ArgumentError("omega_m must be positive")
-    f_m = omega_m / (2.0 * math.pi)
-    return f_m / (2.0 * params.gamma_s)
+    return _finite(omega_m / (2.0 * math.pi) / (2.0 * params.gamma_s), "B_z")
 
 
 def transverse_field(omega_m: float, params: SivParams = SIV_DEFAULTS) -> float:
@@ -148,7 +155,7 @@ def transverse_field(omega_m: float, params: SivParams = SIV_DEFAULTS) -> float:
     if params.theta >= math.pi / 2 - 1e-8:
         raise ArgumentError("theta too close to pi/2; tan(theta) overflows")
     f_m = omega_m / (2.0 * math.pi)
-    return f_m * math.tan(params.theta) / (2.0 * params.gamma_s)
+    return _finite(f_m * math.tan(params.theta) / (2.0 * params.gamma_s), "B_x")
 
 
 def coupling_rate(params: SivParams, b_x: float, eps: StrainTensor) -> float:
@@ -163,24 +170,26 @@ def coupling_rate(params: SivParams, b_x: float, eps: StrainTensor) -> float:
     gx = params.d_s * (eps.eps_xx - eps.eps_yy) + params.f_s * eps.eps_zx
     gy = -2.0 * params.d_s * eps.eps_xy + params.f_s * eps.eps_yz
     prefactor = 2.0 * params.gamma_s * b_x / params.lambda_so
-    return prefactor * math.hypot(gx, gy)
+    return _finite(prefactor * math.hypot(gx, gy), "coupling rate g")
 
 
 def beam_profile(beam: GaussianBeam, r: float, z: float) -> float:
     """Strain amplitude of the Gaussian beam at (r, z), relative to focus.
 
     u(r, z) = (w0/w(z)) exp(-r²/w(z)²) with w(z) = w0 sqrt(1 + (z/z_R)²)
-    and z_R = pi w0² / lambda.
+    and z_R = pi w0² / lambda. w(z) is a hypot and the exponent (r/w(z))²,
+    so far from focus u tends to 0 instead of overflowing.
     """
-    w_z = beam.w0 * math.sqrt(1.0 + (z / beam.rayleigh_range) ** 2)
-    return (beam.w0 / w_z) * math.exp(-(r * r) / (w_z * w_z))
+    w_z = beam.w0 * math.hypot(1.0, z / beam.rayleigh_range)
+    x = r / w_z
+    return (beam.w0 / w_z) * math.exp(-x * x)
 
 
 def single_phonon_power(f0: float, t0: float) -> float:
     """Power of one phonon of frequency f0 lasting t0: hbar 2 pi f0 / t0."""
     if f0 <= 0 or t0 <= 0:
         raise ArgumentError("frequency and duration must be positive")
-    return HBAR * 2.0 * math.pi * f0 / t0
+    return _finite(HBAR * 2.0 * math.pi * f0 / t0, "single-phonon power")
 
 
 def phonon_number(p_rf: float, loss_chain_db: Sequence[float], p0: float) -> float:
@@ -205,9 +214,9 @@ def phonon_number(p_rf: float, loss_chain_db: Sequence[float], p0: float) -> flo
 
 def rabi_from_phonons(n: float, g: float) -> float:
     """Phonon-enhanced Rabi rate sqrt(n) g."""
-    if n < 0:
-        raise ArgumentError("phonon number must be nonnegative")
-    return math.sqrt(n) * g
+    if n < 0 or g < 0:
+        raise ArgumentError("phonon number and coupling rate g must be nonnegative")
+    return _finite(math.sqrt(n) * g, "Rabi rate sqrt(n) g")
 
 
 def rabi_chain(

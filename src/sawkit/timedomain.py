@@ -8,8 +8,8 @@ network is the forward model the analysis chain is validated against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .numerics import db_convert, dft, grid_step, seeded_rng
 
 __all__ = [
     "ImpulseResponse",
-    "EchoPeak",
     "EchoTrain",
     "LossModel",
     "impulse_response",
@@ -43,63 +42,62 @@ __all__ = [
 class ImpulseResponse:
     """Time-domain response of one port pair.
 
-    tau is a uniform grid starting at 0 with step 1/(M df), M the
-    transform length, so a physical delay lands on the same tau regardless
-    of how many points the sweep has. window_gain is sum(window)/sqrt(M)
-    for the unitary transform of M (possibly zero-padded) bins; dividing a
-    peak of |h| by it recovers the arrival's amplitude as it appears in S21.
+    h[j] lies at tau = j step, step = 1/(M df) for M transform bins, so a
+    physical delay lands on the same tau whatever the sweep's point count.
+    window_gain is sum(window)/sqrt(M) for the unitary transform of M
+    (possibly zero-padded) bins; dividing a peak of |h| by it recovers the
+    arrival's amplitude as it appears in S21. magnitude is |h|, formed once
+    with h for echo detection.
     """
 
-    tau: np.ndarray
     h: np.ndarray
+    step: float
     window_gain: float = 1.0
+    magnitude: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.tau = np.asarray(self.tau, dtype=float)
         self.h = np.asarray(self.h, dtype=complex)
-        if self.tau.shape != self.h.shape:
-            raise ArgumentError("tau and h lengths differ")
-        if self.tau.size < 2:
-            raise ArgumentError("impulse response needs at least two samples")
-        if self.tau[0] != 0.0:
-            raise ArgumentError("tau grid must start at 0")
-        grid_step(self.tau)
-        if self.window_gain <= 0:
-            raise ArgumentError("window_gain must be positive")
+        if self.h.ndim != 1 or self.h.size < 2:
+            raise ArgumentError("impulse response needs a 1-D array of at least two samples")
+        if not 0 < self.step < math.inf:
+            raise ArgumentError("tau step must be positive and finite")
+        if not 0 < self.window_gain < math.inf:
+            raise ArgumentError("window_gain must be positive and finite")
+        self.magnitude = np.abs(self.h)
 
     @property
-    def step(self) -> float:
-        return float(self.tau[1] - self.tau[0])
+    def tau(self) -> np.ndarray:
+        return np.arange(self.h.size) * self.step
 
 
-@dataclass
-class EchoPeak:
-    n: int
-    tau: float
-    h_max: float
-    below_noise_floor: bool = False
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ArgumentError("echo index must be nonnegative")
-        if self.h_max < 0:
-            raise ArgumentError("echo magnitude must be nonnegative")
+_PEAK = np.dtype([("n", np.int64), ("tau", float), ("h_max", float), ("below_noise_floor", bool)])
 
 
 @dataclass
 class EchoTrain:
-    peaks: List[EchoPeak]
+    """Detected echoes as one record array, peaks, and their round trip.
+
+    Rows are (n, tau, h_max, below_noise_floor), one per echo: n consecutive
+    from 0, arrival time tau in s (finite, rising), window maximum h_max
+    (finite, nonnegative); a list of such tuples is coerced.
+    """
+
+    peaks: np.recarray
     round_trip: float
 
     def __post_init__(self):
-        if self.round_trip <= 0:
-            raise ArgumentError("round trip must be positive")
-        for i, p in enumerate(self.peaks):
-            if p.n != i:
-                raise ArgumentError("echo indices must be consecutive from 0")
-        taus = [p.tau for p in self.peaks]
-        if any(b <= a for a, b in zip(taus, taus[1:])):
-            raise ArgumentError("echo arrival times must be increasing")
+        try:  # np.array, not np.rec.array, so an empty list is an empty table
+            self.peaks = p = np.array(self.peaks, dtype=_PEAK).view(np.recarray)
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"malformed echo rows: {exc}") from None
+        if not 0 < self.round_trip < math.inf:
+            raise ArgumentError("round trip must be positive and finite")
+        if p.ndim != 1 or not np.array_equal(p.n, np.arange(p.size)):
+            raise ArgumentError("echo indices must be consecutive from 0")
+        if not (np.isfinite(p.tau).all() and (np.diff(p.tau) > 0).all()):
+            raise ArgumentError("echo arrival times must be finite and increasing")
+        if not (np.isfinite(p.h_max).all() and (p.h_max >= 0).all()):
+            raise ArgumentError("echo magnitudes must be finite and nonnegative")
 
 
 @dataclass
@@ -179,11 +177,7 @@ def impulse_response(
     w = _window_array(n, edge_fraction)
     m = n if oversample == 1 else _fast_length(n * oversample)
     h = dft(s * w, "inverse", n=m)
-    dtau = 1.0 / (m * df)
-    tau = np.arange(m, dtype=float)
-    tau *= dtau
-    gain = float(w.sum()) / math.sqrt(m)
-    return ImpulseResponse(tau=tau, h=h, window_gain=gain)
+    return ImpulseResponse(h=h, step=1.0 / (m * df), window_gain=float(w.sum()) / math.sqrt(m))
 
 
 def time_gate(sweep: NetworkSweep, gate: Tuple[float, float]) -> NetworkSweep:
@@ -232,6 +226,20 @@ def _refine_peak(mag: np.ndarray, j: int, dtau: float):
     return (j + x) * dtau, y
 
 
+def _first_at_or_after(t: float, step: float, m: int) -> int:
+    """np.searchsorted(np.arange(m) * step, t) for any t but NaN, without the grid.
+
+    j -> fl(j step) is monotone, so stepping from ceil(t / step) against
+    the rounded grid values lands on the first j whose sample is >= t.
+    """
+    j = max(0, math.ceil(min(t / step, m)))
+    while j > 0 and (j - 1) * step >= t:
+        j -= 1
+    while j < m and j * step < t:
+        j += 1
+    return j
+
+
 def detect_echoes(
     ir: ImpulseResponse,
     expected_round_trip: float,
@@ -242,28 +250,31 @@ def detect_echoes(
     Echo n is searched in [n, n+1) round trips, the window of width
     expected_round_trip centered on the arrival at (2n+1)/2 round trips;
     times before a quarter round trip are excluded as electrical
-    crosstalk. Magnitudes are normalized by the transform's window gain,
-    refined off-grid with a three-point parabola, and flagged when they
-    fall below three times the median magnitude of the analysis region.
+    crosstalk. Each window's samples of ir.magnitude are found by index
+    arithmetic on ir.step, so the tau grid is never built. Magnitudes are
+    normalized by the transform's window gain, refined off-grid with a
+    three-point parabola, and flagged when they fall below three times the
+    median magnitude of the analysis region.
     """
     if n_max < 0:
         raise ArgumentError("n_max must be nonnegative")
+    rt = expected_round_trip
+    if not 0 < rt < math.inf:
+        raise ArgumentError(f"round trip {rt!r} s is not positive and finite")
     dtau = ir.step
-    if expected_round_trip < 2.0 * dtau:
+    if rt < 2.0 * dtau:
         raise ArgumentError(
-            f"round trip {expected_round_trip:.3g} s needs a time step of at most "
+            f"round trip {rt:.3g} s needs a time step of at most "
             f"half its length; have {dtau:.3g} s"
         )
-    rt = expected_round_trip
-    mag = np.abs(ir.h)
+    mag = ir.magnitude
 
     found = []
     for n in range(n_max + 1):
         lo = max(n * rt, rt / 4.0)
         hi = (n + 1) * rt
-        # tau is finite and ascending (ImpulseResponse checks its grid),
-        # so tau[a:b] holds exactly the samples with lo <= tau < hi
-        a, b = np.searchsorted(ir.tau, (lo, hi)).tolist()
+        # mag[a:b] holds exactly the samples with lo <= tau < hi
+        a, b = (_first_at_or_after(t, dtau, mag.size) for t in (lo, hi))
         if a >= b:
             raise ResolutionError(
                 f"no samples in echo window {n} ([{lo:.3g}, {hi:.3g}) s); "
@@ -271,29 +282,13 @@ def detect_echoes(
             )
         offset = a + int(np.argmax(mag[a:b]))
         tau_n, h_n = _refine_peak(mag, offset, dtau)
-        tau_n = min(max(tau_n, lo), hi - dtau)
-        found.append((tau_n, h_n))
+        found.append((min(max(tau_n, lo), hi - dtau), h_n))
 
-    # the median partitions the analysis region of mag in place, so it
-    # runs only once every peak has been read
-    floor_region = mag[int(np.searchsorted(ir.tau, rt / 4.0)):]
-    noise_floor = (
-        3.0 * float(np.median(floor_region, overwrite_input=True)) if floor_region.size else 0.0
-    )
-    peaks = [
-        EchoPeak(
-            n=n,
-            tau=tau_n,
-            h_max=h_n / ir.window_gain,
-            below_noise_floor=h_n < noise_floor,
-        )
-        for n, (tau_n, h_n) in enumerate(found)
-    ]
-    if len(peaks) >= 2:
-        round_trip = float(np.median(np.diff([p.tau for p in peaks])))
-    else:
-        round_trip = rt
-    return EchoTrain(peaks=peaks, round_trip=round_trip)
+    # window 0 holds a sample, so the analysis region does too
+    noise_floor = 3.0 * float(np.median(mag[_first_at_or_after(rt / 4.0, dtau, mag.size):]))
+    peaks = [(n, t, h / ir.window_gain, h < noise_floor) for n, (t, h) in enumerate(found)]
+    taus = [t for t, _ in found]
+    return EchoTrain(peaks, float(np.median(np.diff(taus))) if len(taus) >= 2 else rt)
 
 
 def fit_echo_decay(
@@ -316,17 +311,14 @@ def fit_echo_decay(
         raise ArgumentError("supply exactly one of known_r or known_alpha")
     if length <= 0:
         raise ArgumentError("length must be positive")
-    usable = []
-    for p in train.peaks:
-        if p.below_noise_floor:
-            break
-        usable.append(p)
-    if len(usable) < 2:
+    usable = train.peaks[~np.logical_or.accumulate(train.peaks.below_noise_floor)]
+    if usable.size < 2:
         raise FitError("need at least two echoes above the noise floor")
-    if any(p.h_max <= 0 for p in usable):
+    if (usable.h_max <= 0).any():
         raise FitError("echo magnitudes must be positive to take logs")
-    ns = np.asarray([p.n for p in usable], dtype=float)
-    ys = 2.0 * np.log([p.h_max for p in usable])
+    ns = usable.n.astype(float)
+    # a contiguous copy: np.log may take another kernel, with other last bits, on a strided view
+    ys = 2.0 * np.log(usable.h_max.copy())
     b, a = np.polyfit(ns, ys, 1)
 
     # Growth tolerance expressed on the regression slope itself: window
@@ -475,13 +467,13 @@ def echo_train_csv(train: EchoTrain) -> bytes:
     """
     from .textformat import format_table  # loaded by the first write, as in ingest
 
-    peaks = train.peaks
+    p = train.peaks
     grid = np.column_stack((
-        [p.n for p in peaks],
-        [p.tau * 1e9 for p in peaks],
-        [p.h_max for p in peaks],
+        p.n,
+        p.tau * 1e9,
+        p.h_max,
         # math.log, not np.log, whose SIMD kernels do not promise the same last bit
-        [2.0 * math.log(p.h_max) if p.h_max > 0 else -math.inf for p in peaks],
+        [2.0 * math.log(h) if h > 0 else -math.inf for h in p.h_max.tolist()],
     ))
     return format_table("n,tau_ns,h_max,2ln_h_max\n", grid, ",")
 

@@ -669,6 +669,21 @@ class TestEchoLoss:
         )
         assert result.exit_code == 2
 
+    def test_overflowing_round_trip_exits_2(self, runner, tmp_path):
+        # 2 L / v_g overflows to inf; this once exited 3 with "no samples in echo window 0"
+        path = synth_fixture(runner, tmp_path)
+        out = tmp_path / "out"
+        result = run(
+            runner,
+            [
+                "--out-dir", str(out), "echo-loss", "--input", str(path),
+                "--length", "1e300", "--vg", "1e-300", "--known-r", "0.1",
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "round trip inf s is not positive and finite" in result.output
+        assert not out.exists()
+
     def test_neither_known_flag(self, runner, tmp_path):
         path = synth_fixture(runner, tmp_path)
         result = run(
@@ -888,6 +903,42 @@ class TestBudgetAndCoupling:
         assert result.exit_code == 2, result.output
         assert message in result.output
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # each of these once ended in an OverflowError traceback (exit 1)
+            # or printed inf or a negative rate with exit 0
+            (["budget", "--power-dbm", "0", "--g", "30k", "--f0", "3.8G", "--t0", "20n",
+              "--waist", "1u", "--beam-wavelength", "1u", "--z", "1e300"], None),
+            (["coupling", "--f-m", "3.83G", "--waist", "1u", "--beam-wavelength", "1u",
+              "--z", "1e300"], None),
+            (["coupling", "--f-m", "3.83G", "--eps-xx", "2e-10", "--gamma-s", "1e-300"],
+             "B_z overflows"),
+            (["coupling", "--f-m", "3.83G", "--eps-xx", "2e-10", "--lambda-so", "1e-320"],
+             "coupling rate g overflows"),
+            (["budget", "--power-dbm", "0", "--g", "-30k", "--f0", "3.8G", "--t0", "20n"],
+             "coupling rate g must be nonnegative"),
+            (["budget", "--power-dbm", "0", "--g", "1e305", "--f0", "3.8G", "--t0", "20n"],
+             "Rabi rate sqrt(n) g overflows"),
+            (["budget", "--power-dbm", "0", "--g", "30k", "--f0", "1e300", "--t0", "1e-300"],
+             "single-phonon power overflows"),
+            (["budget", "--power-dbm", "0", "--g", "30k", "--f0", "3.8G", "--t0", "20n",
+              "--waist", "1e-300", "--beam-wavelength", "1u"], "no positive, finite Rayleigh range"),
+            # each wrote a CSV holding NaN with exit 0
+            (["simulate", "sidebands", "--linewidth", "1e300"], "squares out of the float range"),
+            (["simulate", "sidebands", "--linewidth", "1e-300"], "squares out of the float range"),
+        ],
+    )
+    def test_extreme_values_keep_the_contract(self, runner, tmp_path, args, message):
+        result = run(runner, ["--out-dir", str(tmp_path), *args])
+        if message is None:
+            # far from focus the beam factor tends to 0 and stays finite
+            assert result.exit_code == 0, result.output
+            assert "beam_factor=" in result.output and "inf" not in result.output
+        else:
+            assert result.exit_code == 2, result.output
+            assert message in result.output
+
     def test_coupling_fields(self, runner, tmp_path):
         result = run(
             runner,
@@ -1034,8 +1085,8 @@ class TestSimulate:
 # Value pools for the exit-contract fuzz: bad and edge-case spellings next
 # to working ones. Sizes stay small (points <= 4096, oversample <= 8,
 # n-max <= 16) so that no example allocates much.
-SI_POOL = ["nan", "Infinity", "-inf", "1e400", "-1", "0", "1n", "10n", "200n", "1.7u", "50u",
-           "58.565u", "130u", "1", "6161", "3.83G", "abc", "3x", ""]
+SI_POOL = ["nan", "Infinity", "-inf", "1e400", "1e300", "1e-300", "-1", "0", "1n", "10n", "200n",
+           "1.7u", "50u", "58.565u", "130u", "1", "6161", "3.83G", "abc", "3x", ""]
 FLOAT_POOL = ["nan", "inf", "1e400", "-1", "0", "0.1", "0.5", "1", "2", "25", "-25", "abc", ""]
 INT_POOL = ["-1", "0", "1", "2", "10", "40", "400000", "1.5", "abc"]
 POINTS_POOL = ["-1", "0", "1", "2", "16", "401", "4096", "abc"]

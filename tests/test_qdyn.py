@@ -282,6 +282,17 @@ class TestSidebandSpectrum:
         second = fit_lorentzian(spec, (1.6e9, 2.4e9))
         assert second.params[0] - first.params[0] == pytest.approx(mod, rel=1e-3)
 
+    @pytest.mark.parametrize("linewidth", [1e300, 2.7e154, 1e-300])
+    def test_linewidth_squared_must_be_a_positive_float(self, linewidth):
+        # hw² overflowed (every sample NaN) or underflowed (NaN at the line centre)
+        f = np.linspace(-1e9, 1e9, 64)
+        with pytest.raises(ArgumentError, match="squares out of the float range"):
+            sideband_spectrum(0.0, 1e8, 0.5, linewidth, 3, f)
+
+    def test_widest_finite_linewidth_is_flat(self):
+        spec = sideband_spectrum(0.0, 1e8, 0.0, 2.6e154, 3, np.linspace(-1e9, 1e9, 64))
+        assert np.all(spec.y == 1.0)
+
     def test_orders_capped(self):
         f = np.linspace(-1e9, 1e9, 64)
         with pytest.raises(ArgumentError):

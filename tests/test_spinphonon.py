@@ -183,6 +183,18 @@ class TestBeamProfile:
         us = [beam_profile(BEAM, r, z) for r in radii]
         assert all(b < a for a, b in zip(us, us[1:]))
 
+    @pytest.mark.parametrize("r", [0.0, 10e-6, 1e300])
+    @pytest.mark.parametrize("z", [1e300, -1e300, 1.7e308])
+    def test_far_field_tends_to_zero(self, r, z):
+        # (z / z_R)**2 once raised OverflowError; r*r / w*w once gave inf / inf
+        u = beam_profile(BEAM, r, z)
+        assert 0.0 <= u < 1e-300
+
+    @pytest.mark.parametrize("w0, wavelength", [(1e-300, 1e-6), (1e-6, 1e-320), (1e300, 1e-6)])
+    def test_rayleigh_range_must_be_positive_and_finite(self, w0, wavelength):
+        with pytest.raises(ArgumentError, match="no positive, finite Rayleigh range"):
+            GaussianBeam(w0=w0, wavelength=wavelength)
+
     @pytest.mark.parametrize("z", [0.0, 3e-5, 1.3e-4, 5e-4])
     def test_power_integral_z_invariant(self, z):
         # Integrate the squared envelope times 2 pi r dr; the beam carries constant power.
@@ -191,6 +203,37 @@ class TestBeamProfile:
         power = np.trapezoid(u * u * 2.0 * np.pi * r, r)
         ref = np.pi * BEAM.w0**2 / 2.0
         assert power == pytest.approx(ref, rel=1e-6)
+
+
+class TestOverflowIsAnArgumentError:
+    """A field, rate or power past the float range raises instead of returning inf."""
+
+    def test_axial_field(self):
+        with pytest.raises(ArgumentError, match="B_z overflows"):
+            resonance_axial_field(OMEGA_383, SivParams(gamma_s=1e-300))
+
+    def test_transverse_field(self):
+        with pytest.raises(ArgumentError, match="B_x overflows"):
+            transverse_field(OMEGA_383, SivParams(gamma_s=1e-300))
+
+    @pytest.mark.parametrize("params, b_x", [(SivParams(lambda_so=1e-320), BX_383),
+                                             (SIV_DEFAULTS, 1e300)])
+    def test_coupling_rate(self, params, b_x):
+        with pytest.raises(ArgumentError, match="coupling rate g overflows"):
+            coupling_rate(params, b_x, StrainTensor(eps_xx=2e-10))
+
+    def test_single_phonon_power(self):
+        with pytest.raises(ArgumentError, match="single-phonon power overflows"):
+            single_phonon_power(1e300, 1e-300)
+
+    def test_rabi_rate(self):
+        with pytest.raises(ArgumentError, match="Rabi rate sqrt"):
+            rabi_from_phonons(7.9e12, 1e305)
+
+    def test_negative_coupling_rejected(self):
+        # once returned a negative Rabi rate
+        with pytest.raises(ArgumentError, match="coupling rate g must be nonnegative"):
+            rabi_from_phonons(7.9e12, -30e3)
 
 
 class TestPhononBudget:

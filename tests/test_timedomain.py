@@ -19,11 +19,11 @@ from sawkit.errors import (
 from sawkit.ingest import NetworkSweep
 from sawkit.numerics import dft, grid_step
 from sawkit.timedomain import (
-    EchoPeak,
     EchoTrain,
     ImpulseResponse,
     LossModel,
     _fast_length,
+    _first_at_or_after,
     _refine_peak,
     _window_array,
     detect_echoes,
@@ -122,9 +122,32 @@ class TestImpulseResponse:
         assert ir4.tau[-1] < 1.0 / df
 
     def test_non_finite_tau_rejected(self):
-        # echo windows are found by binary search, which needs a finite grid
-        with pytest.raises(GridError, match="not finite"):
-            ImpulseResponse(tau=[0.0, 1e-9, math.nan, 3e-9], h=np.ones(4, complex))
+        # echo windows are found by index arithmetic on the step, which needs it finite
+        for step in (math.nan, math.inf):
+            with pytest.raises(ArgumentError, match="tau step must be positive and finite"):
+                ImpulseResponse(h=np.ones(4, complex), step=step)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-9])
+    def test_step_must_be_positive(self, step):
+        with pytest.raises(ArgumentError, match="tau step must be positive and finite"):
+            ImpulseResponse(h=np.ones(4, complex), step=step)
+
+    @pytest.mark.parametrize("gain", [0.0, -1.0, math.nan, math.inf])
+    def test_window_gain_must_be_positive_and_finite(self, gain):
+        with pytest.raises(ArgumentError, match="window_gain must be positive and finite"):
+            ImpulseResponse(h=np.ones(4, complex), step=1e-9, window_gain=gain)
+
+    @pytest.mark.parametrize("h", [np.ones(1, complex), np.ones((2, 2), complex)])
+    def test_h_must_be_one_dimensional_with_two_samples(self, h):
+        with pytest.raises(ArgumentError, match="1-D array of at least two samples"):
+            ImpulseResponse(h=h, step=1e-9)
+
+    def test_tau_matches_the_grid_once_stored(self):
+        # the float ramp scaled in place, as impulse_response built and stored it
+        ir = impulse_response(flat_sweep(), edge_fraction=0, oversample=4)
+        stored = np.arange(ir.h.size, dtype=float)
+        stored *= ir.step
+        assert ir.tau.tobytes() == stored.tobytes()
 
 
 class TestFastLength:
@@ -233,6 +256,12 @@ class TestDetectEchoes:
         assert len(train.peaks) == 1
         assert train.peaks[0].n == 0
 
+    @pytest.mark.parametrize("rt", [math.nan, math.inf, 0.0, -42e-9])
+    def test_round_trip_must_be_positive_and_finite(self, rt):
+        # an infinite round trip once surfaced as ResolutionError "no samples in echo window 0"
+        with pytest.raises(ArgumentError, match="is not positive and finite"):
+            detect_echoes(synth_ir(n=257), rt, 2)
+
     def test_round_trip_too_small(self):
         ir = synth_ir()
         d_tau = ir.tau[1] - ir.tau[0]
@@ -266,6 +295,26 @@ class TestDetectEchoes:
             assert b.h_max / a.h_max == pytest.approx(ratio_true, rel=1e-3)
 
 
+class TestFirstAtOrAfter:
+    """The window-edge index arithmetic against a binary search of the built grid."""
+
+    @given(m=st.integers(min_value=2, max_value=5000),
+           step=st.floats(min_value=1e-15, max_value=1e-6),
+           j=st.integers(min_value=0, max_value=5001))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_searchsorted(self, m, step, j):
+        tau = np.arange(m) * step
+        t = j * step
+        probes = [t, np.nextafter(t, -math.inf), np.nextafter(t, math.inf),
+                  t + 0.5 * step, t - 0.5 * step, 1.0 / (1.0 / t) if t else 0.0]
+        for p in probes:
+            assert _first_at_or_after(float(p), step, m) == np.searchsorted(tau, p)
+
+    def test_past_the_grid(self):
+        assert _first_at_or_after(math.inf, 1e-9, 10) == 10
+        assert _first_at_or_after(1e300, 1e-300, 10) == 10
+
+
 def reference_impulse_response(sweep, edge_fraction=0.1, oversample=1, length=None):
     """impulse_response with an explicitly zero-padded spectrum and an integer tau ramp.
 
@@ -283,8 +332,7 @@ def reference_impulse_response(sweep, edge_fraction=0.1, oversample=1, length=No
     padded[:n] = s * w
     h = dft(padded, "inverse")
     m = padded.size
-    tau = np.arange(m) * (1.0 / (m * df))
-    return ImpulseResponse(tau=tau, h=h, window_gain=float(w.sum()) / math.sqrt(m))
+    return ImpulseResponse(h=h, step=1.0 / (m * df), window_gain=float(w.sum()) / math.sqrt(m))
 
 
 def reference_detect_echoes(ir, expected_round_trip, n_max):
@@ -314,10 +362,9 @@ def reference_detect_echoes(ir, expected_round_trip, n_max):
         offset = int(np.argmax(np.where(mask, mag, -1.0)))
         tau_n, h_n = _refine_peak(mag, offset, dtau)
         tau_n = min(max(tau_n, lo), hi - dtau)
-        peaks.append(EchoPeak(n=n, tau=tau_n, h_max=h_n / ir.window_gain,
-                              below_noise_floor=h_n < noise_floor))
+        peaks.append((n, tau_n, h_n / ir.window_gain, h_n < noise_floor))
     if len(peaks) >= 2:
-        round_trip = float(np.median(np.diff([p.tau for p in peaks])))
+        round_trip = float(np.median(np.diff([p[1] for p in peaks])))
     else:
         round_trip = rt
     return EchoTrain(peaks=peaks, round_trip=round_trip)
@@ -360,7 +407,9 @@ class TestTimeDomainOracle:
                               oversample=oversample)
         ref = reference_impulse_response(sweep, edge_fraction=edge_fraction,
                                          oversample=oversample)
+        assert ir.step == ref.step
         assert ir.tau.tobytes() == ref.tau.tobytes()
+        assert ir.magnitude.tobytes() == np.abs(ref.h).tobytes()
         assert ir.h.tobytes() == ref.h.tobytes()
         assert ir.window_gain == ref.window_gain
 
@@ -425,9 +474,9 @@ class TestTimeDomainMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # h (16.6 MB) and tau (8.3 MB) are the result; grid_step adds one 8.3 MB diff
+        # h (16.6 MB) and its magnitude (8.3 MB) are the result, and nothing else of full length
         assert ir.h.size == 1036800
-        assert peak < 36e6
+        assert peak < 27e6
 
     def test_detect_echoes(self):
         sweep = synthesize_echo_network(REF_MODEL, V_G, BAND, self.N)
@@ -438,36 +487,86 @@ class TestTimeDomainMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # |h| (8.2 MB) and nothing else of full length
+        # the median's copy of |h| past a quarter round trip (8.2 MB), and nothing
+        # else of full length
         assert len(train.peaks) == 13
         assert peak < 12e6
 
 
 class TestEchoTrainType:
     def test_requires_consecutive_indices(self):
-        peaks = [EchoPeak(0, 1e-8, 1.0), EchoPeak(2, 3e-8, 0.5)]
+        peaks = [(0, 1e-8, 1.0, False), (2, 3e-8, 0.5, False)]
         with pytest.raises(ArgumentError):
             EchoTrain(peaks=peaks, round_trip=2e-8)
 
     def test_requires_increasing_tau(self):
-        peaks = [EchoPeak(0, 3e-8, 1.0), EchoPeak(1, 1e-8, 0.5)]
+        peaks = [(0, 3e-8, 1.0, False), (1, 1e-8, 0.5, False)]
         with pytest.raises(ArgumentError):
             EchoTrain(peaks=peaks, round_trip=2e-8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_non_finite_tau_rejected(self, bad, row):
+        peaks = [(0, 1e-8, 1.0, False), (1, 3e-8, 0.5, False)]
+        peaks[row] = (row, bad, peaks[row][2], False)
+        with pytest.raises(ArgumentError, match="arrival times must be finite"):
+            EchoTrain(peaks=peaks, round_trip=2e-8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_h_max_rejected(self, bad):
+        # NaN once reached fit_echo_decay and failed there as "T must lie in [0, 1]"
+        peaks = [(0, 1e-8, 1.0, False), (1, 3e-8, bad, False)]
+        with pytest.raises(ArgumentError, match="magnitudes must be finite and nonnegative"):
+            EchoTrain(peaks=peaks, round_trip=2e-8)
+
+    @pytest.mark.parametrize("round_trip", [math.nan, math.inf, 0.0, -2e-8])
+    def test_bad_round_trip_rejected(self, round_trip):
+        peaks = [(0, 1e-8, 1.0, False), (1, 3e-8, 0.5, False)]
+        with pytest.raises(ArgumentError, match="round trip must be positive and finite"):
+            EchoTrain(peaks=peaks, round_trip=round_trip)
+
+    def test_tuples_coerced_to_table(self):
+        train = EchoTrain(peaks=[(0, 1e-8, 1.0, False), (1, 3e-8, 0.5, True)], round_trip=2e-8)
+        assert isinstance(train.peaks, np.recarray)
+        assert train.peaks.n.tolist() == [0, 1]
+        assert train.peaks.tau.tolist() == [1e-8, 3e-8]
+        assert train.peaks.h_max.tolist() == [1.0, 0.5]
+        assert train.peaks.below_noise_floor.tolist() == [False, True]
+
+    @pytest.mark.parametrize("peaks", [[(0, 1e-8, 1.0)], [(0, "x", 1.0, False)],
+                                       [(0, 1e-8, 1.0, False, 7)]])
+    def test_malformed_rows_rejected(self, peaks):
+        with pytest.raises(ArgumentError, match="malformed echo rows"):
+            EchoTrain(peaks=peaks, round_trip=2e-8)
+
+    def test_empty_list_is_an_empty_table(self):
+        assert len(EchoTrain(peaks=[], round_trip=2e-8).peaks) == 0
+
+    def test_rows_read_as_records(self):
+        # the shape bench/spans.py reads a detected train in
+        train = detect_echoes(synth_ir(band=(3.3e9, 4.3e9), noise_sigma=1e-4, seed=42),
+                              2 * REF_MODEL.length / V_G, 8)
+        assert len(train.peaks) == 9
+        flags = [p.below_noise_floor for p in train.peaks]
+        assert flags == train.peaks.below_noise_floor.tolist()
+        assert sum(1 for p in train.peaks if not p.below_noise_floor) >= 3
+        assert [p.n for p in train.peaks] == list(range(9))
+        assert train.peaks[0].h_max == train.peaks.h_max[0]
 
     def test_csv_bytes(self):
         # the former per-row f-string writer is the byte reference
         magnitudes = [0.5, 0.0, 1e-300, 5e-324] + [0.3 ** n for n in range(4, 240)]
-        peaks = [EchoPeak(n, (2 * n + 1) * 1.055e-8, h) for n, h in enumerate(magnitudes)]
+        peaks = [(n, (2 * n + 1) * 1.055e-8, h, False) for n, h in enumerate(magnitudes)]
         lines = ["n,tau_ns,h_max,2ln_h_max\n"]
-        for p in peaks:
-            two_ln = 2.0 * math.log(p.h_max) if p.h_max > 0 else -math.inf
-            lines.append(f"{p.n},{p.tau * 1e9:.17g},{p.h_max:.17g},{two_ln:.17g}\n")
+        for n, tau, h, _ in peaks:
+            two_ln = 2.0 * math.log(h) if h > 0 else -math.inf
+            lines.append(f"{n},{tau * 1e9:.17g},{h:.17g},{two_ln:.17g}\n")
         train = EchoTrain(peaks=peaks, round_trip=2.11e-8)
         assert echo_train_csv(train) == "".join(lines).encode()
         assert b"\n1,31.650000000000002,0,-inf\n" in echo_train_csv(train)
 
     def test_csv_layout(self):
-        peaks = [EchoPeak(0, 1.055e-8, 0.5), EchoPeak(1, 3.165e-8, 0.25)]
+        peaks = [(0, 1.055e-8, 0.5, False), (1, 3.165e-8, 0.25, False)]
         train = EchoTrain(peaks=peaks, round_trip=2.11e-8)
         lines = echo_train_csv(train).decode().strip().splitlines()
         assert lines[0] == "n,tau_ns,h_max,2ln_h_max"
@@ -481,7 +580,7 @@ def ideal_train(model, n_echoes=5):
     peaks = []
     for n in range(n_echoes):
         amp = model.t * model.r**n * math.exp(-model.alpha * (2 * n + 1) * model.length / 2)
-        peaks.append(EchoPeak(n, (2 * n + 1) * model.length / V_G, amp))
+        peaks.append((n, (2 * n + 1) * model.length / V_G, amp, False))
     return EchoTrain(peaks=peaks, round_trip=2 * model.length / V_G)
 
 
@@ -511,14 +610,14 @@ class TestFitEchoDecay:
         assert fit.t == pytest.approx(0.9, rel=1e-9)
 
     def test_growth_rejected(self):
-        peaks = [EchoPeak(n, (2 * n + 1) * 1e-8, 0.1 * 2.0**n) for n in range(4)]
+        peaks = [(n, (2 * n + 1) * 1e-8, 0.1 * 2.0**n, False) for n in range(4)]
         train = EchoTrain(peaks=peaks, round_trip=2e-8)
         with pytest.raises(NonphysicalGrowthError):
             fit_echo_decay(train, 130e-6, known_r=0.5)
 
     def test_recovered_t_above_one_rejected(self):
         # Decay much slower than R alone implies: T would exceed 1.
-        peaks = [EchoPeak(n, (2 * n + 1) * 1e-8, 40.0 * 0.9**n) for n in range(4)]
+        peaks = [(n, (2 * n + 1) * 1e-8, 40.0 * 0.9**n, False) for n in range(4)]
         train = EchoTrain(peaks=peaks, round_trip=2e-8)
         with pytest.raises(InconsistencyError):
             fit_echo_decay(train, 130e-6, known_r=0.9)
@@ -531,15 +630,15 @@ class TestFitEchoDecay:
             fit_echo_decay(train, REF_MODEL.length, known_r=0.1, known_alpha=1.0)
 
     def test_needs_two_echoes(self):
-        train = EchoTrain(peaks=[EchoPeak(0, 1e-8, 0.5)], round_trip=2e-8)
+        train = EchoTrain(peaks=[(0, 1e-8, 0.5, False)], round_trip=2e-8)
         with pytest.raises(FitError):
             fit_echo_decay(train, 130e-6, known_r=0.1)
 
     def test_flagged_suffix_ignored(self):
         model = REF_MODEL
-        peaks = list(ideal_train(model, 4).peaks)
+        peaks = ideal_train(model, 4).peaks.tolist()
         # Junk beyond the noise floor must not drag the slope.
-        peaks.append(EchoPeak(4, 9 * model.length / V_G, 0.02, below_noise_floor=True))
+        peaks.append((4, 9 * model.length / V_G, 0.02, True))
         train = EchoTrain(peaks=peaks, round_trip=2 * model.length / V_G)
         fit = fit_echo_decay(train, model.length, known_r=model.r)
         assert fit.alpha == pytest.approx(model.alpha, rel=1e-10)
