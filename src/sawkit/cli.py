@@ -40,37 +40,23 @@ EXIT_ANALYSIS = 3
 MAX_POINTS = 1 << 22
 
 
-class SIFloat(click.ParamType):
-    """Finite float flag accepting SI suffixes: 3.83G, 50u, -10.7.
+class SIFloat(click.FloatRange):
+    """The type of every real-valued flag: a finite float in a range, SI suffixes allowed.
 
-    With positive, for lengths, velocities, spacings and frequencies, it
-    also has to lie above zero.
+    3.83G, 50u and -10.7 are numbers; NaN, which passes every range
+    comparison, and ±inf are not.
     """
 
-    def __init__(self, positive: bool = False):
-        self.positive = positive
-        self.name = "positive-si-float" if positive else "si-float"
+    name = "si-float"
 
     def convert(self, value, param, ctx):
         try:
             number = parse_si(value)
         except ArgumentError as exc:
             self.fail(str(exc), param, ctx)
-        if self.positive and not 0 < number < math.inf:
-            self.fail(f"{value!r} is not a positive finite number", param, ctx)
         if not math.isfinite(number):
             self.fail(f"{value!r} is not a finite number", param, ctx)
-        return number
-
-
-class FiniteFloat(click.FloatRange):
-    """FloatRange that also rejects NaN, which passes every range comparison."""
-
-    def convert(self, value, param, ctx):
-        number = super().convert(value, param, ctx)
-        if not math.isfinite(number):
-            self.fail(f"{value!r} is not a finite number", param, ctx)
-        return number
+        return super().convert(number, param, ctx)
 
     def _describe_range(self) -> str:
         # the --help text; click would print "x<=None" for an unbounded range
@@ -80,7 +66,7 @@ class FiniteFloat(click.FloatRange):
 
 
 SI = SIFloat()
-POSITIVE_SI = SIFloat(positive=True)
+POSITIVE_SI = SIFloat(min=0, min_open=True)
 
 
 def _fail(code: int, message) -> "NoReturn":  # noqa: F821 - doc only
@@ -231,8 +217,8 @@ def _load_sweep(path) -> NetworkSweep:
 @click.option("--lambda0", type=POSITIVE_SI, required=True, help="Acoustic wavelength in m.")
 @click.option("--n-mirror", type=click.IntRange(min=1), required=True, help="Electrodes per mirror.")
 @click.option("--vg", type=POSITIVE_SI, required=True, help="Group velocity in m/s.")
-@click.option("--alpha-db-mm", type=FiniteFloat(min=0, min_open=True), default=None, help="Propagation loss in dB/mm.")
-@click.option("--prominence", type=FiniteFloat(min=0), default=None, help="Peak prominence override.")
+@click.option("--alpha-db-mm", type=POSITIVE_SI, default=None, help="Propagation loss in dB/mm.")
+@click.option("--prominence", type=SIFloat(min=0), default=None, help="Peak prominence override.")
 @click.option("--spacing", type=POSITIVE_SI, default=None, help="Minimum peak spacing in Hz.")
 @click.option(
     "--coupling",
@@ -274,10 +260,10 @@ def cavity(state, input, d, lambda0, n_mirror, vg, alpha_db_mm, prominence, spac
 @click.option("--input", type=click.Path(), required=True)
 @click.option("--length", type=POSITIVE_SI, required=True, help="Propagation length L in m.")
 @click.option("--vg", type=POSITIVE_SI, required=True, help="Group velocity in m/s.")
-@click.option("--known-r", type=FiniteFloat(0, 1, min_open=True), default=None, help="Known mirror power reflectivity.")
-@click.option("--known-alpha", type=FiniteFloat(min=0), default=None, help="Known attenuation in dB/mm.")
+@click.option("--known-r", type=SIFloat(0, 1, min_open=True), default=None, help="Known mirror power reflectivity.")
+@click.option("--known-alpha", type=SIFloat(min=0), default=None, help="Known attenuation in dB/mm.")
 @click.option("--n-max", type=click.IntRange(min=0), default=4, show_default=True, help="Highest echo index.")
-@click.option("--edge-fraction", type=FiniteFloat(0, 0.5), default=0.5, show_default=True,
+@click.option("--edge-fraction", type=SIFloat(0, 0.5), default=0.5, show_default=True,
               help="Band share tapered at each edge; 0 leaves the transform unwindowed.")
 @click.option("--oversample", type=click.IntRange(min=1), default=16, show_default=True,
               help="Least tau-grid refinement; the transform rounds up to a fast length.")
@@ -328,8 +314,8 @@ def gate(state, input, start, stop, output):
 
 
 @main.command()
-@click.option("--power-dbm", type=FiniteFloat(), required=True, help="RF drive power in dBm.")
-@click.option("--loss", type=FiniteFloat(), multiple=True, help="Loss chain entry in dB (repeatable).")
+@click.option("--power-dbm", type=SI, required=True, help="RF drive power in dBm.")
+@click.option("--loss", type=SI, multiple=True, help="Loss chain entry in dB (repeatable).")
 @click.option("--g", type=SI, required=True, help="Single-phonon coupling rate in Hz.")
 @click.option("--f0", type=SI, required=True, help="Mode frequency in Hz.")
 @click.option("--t0", type=SI, required=True, help="Phonon duration in s.")
@@ -407,11 +393,11 @@ def _grid(lo: float, hi: float, points: int, flags: str):
 
 
 @simulate.command("rabi")
-@click.option("--rabi-mhz", type=FiniteFloat(min=0), required=True, help="Rabi frequency in MHz.")
-@click.option("--decay-tau-ns", type=FiniteFloat(min=0, min_open=True), default=None, help="Decay time in ns (default: none).")
-@click.option("--t-max-ns", type=FiniteFloat(min=0, min_open=True), default=200.0, show_default=True)
+@click.option("--rabi-mhz", type=SIFloat(min=0), required=True, help="Rabi frequency in MHz.")
+@click.option("--decay-tau-ns", type=POSITIVE_SI, default=None, help="Decay time in ns (default: none).")
+@click.option("--t-max-ns", type=POSITIVE_SI, default=200.0, show_default=True)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=401, show_default=True)
-@click.option("--noise", type=FiniteFloat(min=0), default=0.0, show_default=True)
+@click.option("--noise", type=SIFloat(min=0), default=0.0, show_default=True)
 @pass_state
 def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
     """Decaying Rabi oscillation trace."""
@@ -429,16 +415,14 @@ def simulate_rabi(state, rabi_mhz, decay_tau_ns, t_max_ns, points, noise):
 
 
 @simulate.command("odar")
-@click.option("--rabi-mhz", type=FiniteFloat(min=0), default=25.0, show_default=True)
-@click.option("--f-spin-ghz", type=FiniteFloat(min=0, min_open=True), default=3.83, show_default=True)
-@click.option("--pulse-ns", type=FiniteFloat(min=0, min_open=True), default=20.0, show_default=True)
-@click.option("--span-mhz", type=FiniteFloat(), default=200.0, show_default=True)
+@click.option("--rabi-mhz", type=SIFloat(min=0), default=25.0, show_default=True)
+@click.option("--f-spin-ghz", type=POSITIVE_SI, default=3.83, show_default=True)
+@click.option("--pulse-ns", type=POSITIVE_SI, default=20.0, show_default=True)
+@click.option("--span-mhz", type=POSITIVE_SI, default=200.0, show_default=True)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=801, show_default=True)
 @pass_state
 def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
     """Swept-drive resonance spectrum at fixed pulse length."""
-    if not span_mhz > 0:
-        raise ArgumentError(f"--span-mhz {span_mhz:g} must be positive")
     from . import qdyn
     f_spin = f_spin_ghz * 1e9
     half = span_mhz * 1e6 / 2.0
@@ -454,7 +438,7 @@ def simulate_odar(state, rabi_mhz, f_spin_ghz, pulse_ns, span_mhz, points):
 @simulate.command("sidebands")
 @click.option("--carrier", type=SI, default=0.0, show_default=True, help="Carrier frequency in Hz.")
 @click.option("--mod-freq", type=POSITIVE_SI, default=3.83e9, show_default=True, help="Modulation frequency in Hz.")
-@click.option("--mod-index", type=FiniteFloat(-20, 20), default=0.5, show_default=True)
+@click.option("--mod-index", type=SIFloat(-20, 20), default=0.5, show_default=True)
 @click.option("--linewidth", type=POSITIVE_SI, default=1e9, show_default=True, help="Lorentzian FWHM in Hz.")
 @click.option("--orders", type=click.IntRange(0, 10), default=3, show_default=True)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=2001, show_default=True)
@@ -479,30 +463,26 @@ def simulate_sidebands(state, carrier, mod_freq, mod_index, linewidth, orders, p
 
 
 @main.command()
-@click.option("--t", type=FiniteFloat(0, 1), default=0.3, show_default=True, help="IDT conversion efficiency.")
-@click.option("--r", type=FiniteFloat(0, 1), default=0.1, show_default=True, help="Mirror power reflectivity.")
-@click.option("--alpha-db-mm", type=FiniteFloat(min=0), default=3.2, show_default=True)
+@click.option("--t", type=SIFloat(0, 1), default=0.3, show_default=True, help="IDT conversion efficiency.")
+@click.option("--r", type=SIFloat(0, 1), default=0.1, show_default=True, help="Mirror power reflectivity.")
+@click.option("--alpha-db-mm", type=SIFloat(min=0), default=3.2, show_default=True)
 @click.option("--length", type=POSITIVE_SI, default=130e-6, show_default=True, help="Propagation length in m.")
 @click.option("--vg", type=POSITIVE_SI, default=6161.0, show_default=True)
 @click.option("--f-lo", type=POSITIVE_SI, default=2.8e9, show_default=True)
 @click.option("--f-hi", type=POSITIVE_SI, default=4.8e9, show_default=True)
 @click.option("--n-points", type=click.IntRange(16, MAX_POINTS), default=4001, show_default=True)
-@click.option("--crosstalk", type=FiniteFloat(), default=0.0, show_default=True, help="Flat crosstalk amplitude.")
+@click.option("--crosstalk", type=SI, default=0.0, show_default=True, help="Flat crosstalk amplitude.")
 @click.option("--idt-center", type=POSITIVE_SI, default=None, help="Passband center in Hz.")
-@click.option("--idt-bw", type=float, default=None, help="Fractional passband width.")
-@click.option("--noise", type=FiniteFloat(min=0), default=0.0, show_default=True)
+@click.option("--idt-bw", type=POSITIVE_SI, default=None, help="Fractional passband width.")
+@click.option("--noise", type=SIFloat(min=0), default=0.0, show_default=True)
 @click.option("--name", default="synthetic.s2p", show_default=True)
 @pass_state
 def synth(state, t, r, alpha_db_mm, length, vg, f_lo, f_hi, n_points,
           crosstalk, idt_center, idt_bw, noise, name):
     """Write a synthetic echo-network fixture as Touchstone or CSV."""
-    idt = None
     if (idt_center is None) != (idt_bw is None):
         raise ArgumentError("--idt-center and --idt-bw go together")
-    if idt_center is not None:
-        if not 0 < idt_bw < math.inf:
-            raise ArgumentError(f"--idt-bw {idt_bw!r} is not a positive finite number")
-        idt = (idt_center, idt_bw)
+    idt = None if idt_center is None else (idt_center, idt_bw)
     if not f_hi > f_lo:
         raise ArgumentError(f"--f-hi {f_hi:g} Hz must exceed --f-lo {f_lo:g} Hz")
     if noise > 0 and state.seed is None:

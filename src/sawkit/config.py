@@ -35,13 +35,13 @@ def parse_si(text: str) -> float:
     s = text.strip()
     if not s:
         raise ArgumentError("empty numeric value")
-    scale = 1.0
-    if s[-1] in SI_SUFFIXES:
-        scale = SI_SUFFIXES[s[-1]]
-        s = s[:-1]
-    try:
-        return float(s) * scale
+    try:  # the plain spelling first: 'nan' and 'inf' end in the nano and femto letters
+        return float(s)
     except ValueError:
+        pass
+    try:
+        return float(s[:-1]) * SI_SUFFIXES[s[-1]]
+    except (KeyError, ValueError):
         raise ArgumentError(f"not a number: {text!r}") from None
 
 

@@ -471,7 +471,8 @@ def lorentzian(x, params):
     f0, fwhm, amplitude, offset = params
     hw = fwhm / 2.0
     d = np.asarray(x, dtype=float) - f0
-    return offset + amplitude * hw * hw / (d * d + hw * hw)
+    with np.errstate(over="ignore"):  # d² overflowing to inf gives hw²/inf = 0, the right value
+        return offset + amplitude * hw * hw / (d * d + hw * hw)
 
 
 def lorentzian_jacobian(x, params):

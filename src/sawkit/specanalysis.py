@@ -461,8 +461,7 @@ def cavity_report(
             f"found {len(raw_peaks)} peak(s); the free spectral range is a mode "
             "spacing and needs at least two modes in the sweep"
         )
-    raw_spacing = float(np.median(np.diff(raw_peaks)))
-
+    raw_spacing = estimate_fsr(raw_peaks)
     outcomes = _fit_windows(trace, _peak_windows(sweep.freqs, step, raw_peaks, raw_spacing))
     mode_fits = [outcome for outcome in outcomes if isinstance(outcome, FitResult)]
     rejected = [

@@ -79,15 +79,18 @@ class EchoTrain:
 
     Rows are (n, tau, h_max, below_noise_floor), one per echo: n consecutive
     from 0, arrival time tau in s (finite, rising), window maximum h_max
-    (finite, nonnegative); a list of such tuples is coerced.
+    (finite, nonnegative); a sequence of such 4-item rows is coerced.
     """
 
     peaks: np.recarray
     round_trip: float
 
     def __post_init__(self):
+        rows = self.peaks
         try:  # np.array, not np.rec.array, so an empty list is an empty table
-            self.peaks = p = np.array(self.peaks, dtype=_PEAK).view(np.recarray)
+            if getattr(rows, "dtype", None) != _PEAK and any(len(row) != 4 for row in rows):
+                raise ValueError("each row needs 4 items")  # not numpy's spread of a bare number
+            self.peaks = p = np.array(rows, dtype=_PEAK).view(np.recarray)
         except (TypeError, ValueError) as exc:
             raise ArgumentError(f"malformed echo rows: {exc}") from None
         if not 0 < self.round_trip < math.inf:

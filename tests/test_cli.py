@@ -4,12 +4,15 @@ import math
 import tempfile
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from sawkit.cli import MAX_POINTS, _write_atomic, main
+from sawkit.cli import MAX_POINTS, SIFloat, _write_atomic, main
+from sawkit.config import parse_si
+from sawkit.errors import ArgumentError
 from sawkit.ingest import parse_csv_sweep, parse_touchstone, write_touchstone
 from sawkit.numerics import db_convert
 from sawkit.timedomain import LossModel, _fast_length, synthesize_echo_network
@@ -352,7 +355,11 @@ class TestPositiveFlags:
             args += ["--input", str(synth_fixture(runner, tmp_path / "in"))]
         result = run(runner, ["--out-dir", str(out), *flag_or_config(tmp_path, args, flag, value)])
         assert result.exit_code == 2, result.output
-        assert "positive finite" in result.output
+        number = parse_si(value)
+        if math.isfinite(number):
+            assert f"{number!r} is not in the range x>0" in result.output
+        else:
+            assert f"{value!r} is not a finite number" in result.output
         assert not out.exists()
 
 
@@ -447,9 +454,9 @@ class TestAnalysisFlagRanges:
             (RABI, "--t-max-ns", "0", "0.0 is not in the range x>0"),
             (["simulate", "odar"], "--pulse-ns", "0", "0.0 is not in the range x>0"),
             (["simulate", "odar"], "--rabi-mhz", "-1", "-1.0 is not in the range x>=0"),
-            (["simulate", "sidebands"], "--mod-freq", "-1G", "is not a positive finite number"),
-            (["simulate", "sidebands"], "--linewidth", "0", "is not a positive finite number"),
-            # SI flags that spell nan or inf without a suffix letter at the end
+            (["simulate", "sidebands"], "--mod-freq", "-1G", "-1000000000.0 is not in the range x>0"),
+            (["simulate", "sidebands"], "--linewidth", "0", "0.0 is not in the range x>0"),
+            # other spellings of nan and inf on SI flags; nan, inf and -inf end the list
             (BUDGET, "--g", "NaN", "'NaN' is not a finite number"),
             (BUDGET, "--f0", "Infinity", "'Infinity' is not a finite number"),
             ([*BUDGET, "--waist", "6.8u", "--beam-wavelength", "1.1u"], "--r", "NaN",
@@ -460,7 +467,8 @@ class TestAnalysisFlagRanges:
             # config values, checked by their flags' types
             (["echo-loss", "--vg", "6161", "--known-r", "0.1"], "length", "abc",
              "not a number: 'abc'"),
-            (CAVITY, "alpha_db_mm", "3.2m", "'3.2m' is not a valid float"),
+            # 3.2m is a valid 0.0032; 3.2x is no number, suffix or not
+            (CAVITY, "alpha_db_mm", "3.2x", "not a number: '3.2x'"),
             (CAVITY, "alpha_db_mm", "0", "0.0 is not in the range x>0"),
             (["cavity", "--d", "50u", "--lambda0", "1.7u", "--vg", "6161"], "n_mirror", "40.7",
              "'40.7' is not a valid integer"),
@@ -473,10 +481,20 @@ class TestAnalysisFlagRanges:
             (ECHO_R, "--input", "s11_only.csv", "s21 not present in sweep (has s11)"),
             (CAVITY, "--input", "two_points.csv", "peak finding needs at least 3 samples"),
             # a repeatable flag's config value is its one entry
-            (BUDGET, "loss", "abc", "Invalid value for '--loss': 'abc' is not a valid float"),
+            (BUDGET, "loss", "abc", "Invalid value for '--loss': not a number: 'abc'"),
             # used to exit 3 with "effective length ... smaller than d"
             (CAVITY, "--input", "negative_axis.csv",
              "cavity frequencies must be positive; the sweep starts at -4.8e+09 Hz"),
+            # each exited 2 with "not a number", its last letter read as nano or femto
+            (BUDGET, "--g", "nan", "'nan' is not a finite number"),
+            (BUDGET, "--f0", "inf", "'inf' is not a finite number"),
+            (COUPLING, "--f-m", "-inf", "'-inf' is not a finite number"),
+            (["gate", "--stop", "200n"], "--start", "-inf", "'-inf' is not a finite number"),
+            (["cavity", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"], "--d", "inf",
+             "'inf' is not a finite number"),
+            (["echo-loss", "--vg", "6161", "--known-r", "0.1"], "length", "nan",
+             "'nan' is not a finite number"),
+            (COUPLING, "eps_zz", "inf", "'inf' is not a finite number"),
         ],
     )
     def test_exits_2(self, runner, tmp_path, command, flag, value, message):
@@ -491,6 +509,62 @@ class TestAnalysisFlagRanges:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not out.exists()
+
+
+class TestSiSuffixes:
+    """Every real-valued flag reads SI suffixes, and a suffixed value runs as its parse_si product.
+
+    One flag per command whose real-valued flags took no suffix before
+    they were all of type SIFloat. The product is not always the decimal
+    spelling: 10u is 9.999999999999999e-06, not 1e-05.
+    """
+
+    PAPER = ["--length", "58.565u", "--r", "0.6", "--alpha-db-mm", "2.0"]
+
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            (["cavity", "--d", "50u", "--lambda0", "1.7u", "--n-mirror", "40", "--vg", "6161"],
+             "--alpha-db-mm", "2000m"),
+            (["echo-loss", "--length", "58.565u", "--vg", "6161", "--known-r", "0.6"],
+             "--edge-fraction", "250m"),
+            (["budget", "--power-dbm", "0", "--g", "30k", "--f0", "3.8G", "--t0", "20n"],
+             "--loss", "-10m"),
+            (["simulate", "rabi", "--rabi-mhz", "33.4"], "--noise", "20m"),
+            (["simulate", "odar"], "--span-mhz", "0.2k"),
+            (["simulate", "sidebands"], "--mod-index", "500m"),
+            (["synth", "--n-points", "401"], "--noise", "10u"),
+        ],
+    )
+    def test_suffix_runs_as_its_product(self, runner, tmp_path, command, flag, text):
+        args = list(command)
+        if command[0] in ("cavity", "echo-loss"):
+            args += ["--input", str(synth_fixture(runner, tmp_path / "in", extra=self.PAPER))]
+        runs = []
+        for i, value in enumerate((text, repr(parse_si(text)))):
+            out = tmp_path / f"run{i}"
+            result = run(runner, ["--out-dir", str(out), "--seed", "1", *args, flag, value])
+            assert result.exit_code == 0, result.output
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            runs.append((result.output.replace(str(out), "OUT"), files))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "text, number",
+        [("10u", 10 * 1e-6), ("3.83G", 3.83 * 1e9), ("-10.7", -10.7), (" 2k ", 2000.0),
+         ("1e-5", 1e-5), ("Infinity", math.inf), ("inf", math.inf), ("-inf", -math.inf)],
+    )
+    def test_parse_si(self, text, number):
+        assert parse_si(text) == number
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "+nan"])
+    def test_parse_si_reads_nan(self, text):
+        assert math.isnan(parse_si(text))
+
+    @pytest.mark.parametrize("text", ["", " ", "abc", "3x", "k", "1.5.2u"])
+    def test_parse_si_rejects(self, text):
+        with pytest.raises(ArgumentError):
+            parse_si(text)
 
 
 class TestSeedAndSpectrumFlags:
@@ -509,8 +583,8 @@ class TestSeedAndSpectrumFlags:
             (["--seed", "1.5", "synth", "--noise", "1e-5"], "'1.5' is not a valid integer"),
             (["simulate", "odar", "--f-spin-ghz", "-1"], "-1.0 is not in the range x>0"),
             (["simulate", "odar", "--f-spin-ghz", "0"], "0.0 is not in the range x>0"),
-            (["simulate", "odar", "--span-mhz", "0"], "--span-mhz 0 must be positive"),
-            (["simulate", "odar", "--span-mhz", "-5"], "--span-mhz -5 must be positive"),
+            (["simulate", "odar", "--span-mhz", "0"], "0.0 is not in the range x>0"),
+            (["simulate", "odar", "--span-mhz", "-5"], "-5.0 is not in the range x>0"),
             (["--config", "no-such-dir/run.cfg", *BUDGET], "error: config: cannot read"),
         ],
     )
@@ -563,10 +637,10 @@ class TestSynthUsage:
         [
             (["--f-lo", "5G", "--f-hi", "4G"], "--f-hi 4e+09 Hz must exceed --f-lo 5e+09 Hz"),
             (["--f-lo", "4G", "--f-hi", "4G"], "must exceed --f-lo"),
-            (["--idt-bw", "0", "--idt-center", "3.8G"], "--idt-bw 0.0 is not a positive finite"),
-            (["--idt-bw", "-0.2", "--idt-center", "3.8G"], "is not a positive finite"),
-            (["--idt-bw", "inf", "--idt-center", "3.8G"], "is not a positive finite"),
-            (["--idt-bw", "nan", "--idt-center", "3.8G"], "is not a positive finite"),
+            (["--idt-bw", "0", "--idt-center", "3.8G"], "'--idt-bw': 0.0 is not in the range x>0"),
+            (["--idt-bw", "-0.2", "--idt-center", "3.8G"], "-0.2 is not in the range x>0"),
+            (["--idt-bw", "inf", "--idt-center", "3.8G"], "'inf' is not a finite number"),
+            (["--idt-bw", "nan", "--idt-center", "3.8G"], "'nan' is not a finite number"),
             (["--t", "2"], "2.0 is not in the range 0<=x<=1"),
             (["--t", "-0.1"], "is not in the range 0<=x<=1"),
             (["--t", "nan"], "'nan' is not a finite number"),
@@ -1011,7 +1085,8 @@ class TestSimulate:
         [
             ("25", "25.0 is not in the range -20<=x<=20"),
             ("-20.5", "is not in the range -20<=x<=20"),
-            ("inf", "is not in the range -20<=x<=20"),
+            # the finiteness check comes before the range check
+            ("inf", "'inf' is not a finite number"),
             ("nan", "'nan' is not a finite number"),
         ],
     )
@@ -1081,13 +1156,23 @@ class TestSimulate:
         assert message in result.output
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_lorentzian_tails_warn_nothing(self, runner, tmp_path):
+        # d² overflows to inf on most of the grid, and hw²/inf = 0 is the right value
+        result = run(runner, ["--out-dir", str(tmp_path), "simulate", "sidebands",
+                              "--mod-freq", "1e300"])
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "sideband_spectrum.csv").read_text().strip().splitlines()[1:]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
 
 # Value pools for the exit-contract fuzz: bad and edge-case spellings next
 # to working ones. Sizes stay small (points <= 4096, oversample <= 8,
 # n-max <= 16) so that no example allocates much.
 SI_POOL = ["nan", "Infinity", "-inf", "1e400", "1e300", "1e-300", "-1", "0", "1n", "10n", "200n",
            "1.7u", "50u", "58.565u", "130u", "1", "6161", "3.83G", "abc", "3x", ""]
-FLOAT_POOL = ["nan", "inf", "1e400", "-1", "0", "0.1", "0.5", "1", "2", "25", "-25", "abc", ""]
+FLOAT_POOL = ["nan", "inf", "1e400", "-1", "0", "0.1", "250m", "0.5", "1", "2", "2k", "25", "-25",
+              "abc", ""]
 INT_POOL = ["-1", "0", "1", "2", "10", "40", "400000", "1.5", "abc"]
 POINTS_POOL = ["-1", "0", "1", "2", "16", "401", "4096", "abc"]
 INPUT_POOL = ["paper.s2p", "two_points.csv", "s11_only.csv", "negative_axis.csv", "bad_line.s2p",
@@ -1127,9 +1212,11 @@ FUZZ_COMMANDS = {
     ),
     "coupling": (
         {"--f-m": "3.83G"},
-        {"--f-m": SI_POOL, "--b-x": SI_POOL, "--eps-xx": SI_POOL, "--eps-yz": SI_POOL,
+        {"--f-m": SI_POOL, "--b-x": SI_POOL, "--eps-xx": SI_POOL, "--eps-yy": SI_POOL,
+         "--eps-zz": SI_POOL, "--eps-xy": SI_POOL, "--eps-yz": SI_POOL, "--eps-zx": SI_POOL,
          "--gamma-s": SI_POOL, "--lambda-so": SI_POOL, "--d-s": SI_POOL, "--f-s": SI_POOL,
-         "--theta-deg": SI_POOL, "--waist": SI_POOL, "--beam-wavelength": SI_POOL},
+         "--theta-deg": SI_POOL, "--waist": SI_POOL, "--beam-wavelength": SI_POOL, "--r": SI_POOL,
+         "--z": SI_POOL},
     ),
     "simulate rabi": (
         {"--rabi-mhz": "33.4"},
@@ -1196,9 +1283,31 @@ def fuzz_inputs(tmp_path_factory):
     return root
 
 
+def leaf_commands(group, prefix=""):
+    """(name as typed, command) for each command under a group, such as "simulate rabi"."""
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from leaf_commands(command, f"{prefix}{name} ")
+        else:
+            yield f"{prefix}{name}", command
+
+
 class TestExitContract:
     """Every call exits 0, 2 or 3 without a traceback, and a failed call writes nothing."""
 
+    def test_every_flag_is_fuzzed_and_every_real_flag_is_si(self):
+        # the group's own flags (--config, --seed, --plot, --out-dir) are drawn by cli_calls
+        commands = dict(leaf_commands(main))
+        assert sorted(commands) == sorted(FUZZ_COMMANDS)
+        for name, command in commands.items():
+            options = [p for p in command.params if isinstance(p, click.Option)]
+            unpooled = [opt for p in options for opt in p.opts if opt not in FUZZ_COMMANDS[name][1]]
+            assert unpooled == [], f"{name}: no fuzz pool for {unpooled}"
+            not_si = [p.opts[0] for p in options
+                      if isinstance(p.type, click.types.FloatParamType) and not isinstance(p.type, SIFloat)]
+            assert not_si == [], f"{name}: real-valued flags not of type SIFloat: {not_si}"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(args=cli_calls())
     def test_any_call_keeps_the_contract(self, fuzz_inputs, args):

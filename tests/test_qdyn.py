@@ -299,6 +299,19 @@ class TestSidebandSpectrum:
             sideband_spectrum(0.0, 1e8, 0.5, 1e6, 11, f)
 
 
+@pytest.mark.parametrize("grid", [[], [3.83e9]], ids=["empty", "one_point"])
+@pytest.mark.parametrize(
+    "spectrum",
+    [lambda f: odar_spectrum(25e6, 3.83e9, 20e-9, f),
+     lambda f: sideband_spectrum(3.83e9, 1e8, 0.5, 1e6, 3, f)],
+    ids=["odar", "sidebands"],
+)
+def test_spectrum_needs_two_grid_points(spectrum, grid):
+    # the Series of the result rejects the grid; neither function checks it twice
+    with pytest.raises(ArgumentError, match="a series needs at least two samples"):
+        spectrum(np.array(grid))
+
+
 class TestSeriesCsvAndTypes:
     def test_series_csv_layout(self):
         series = Series(np.array([0.0, 1.5e-9]), np.array([0.25, 0.75]))

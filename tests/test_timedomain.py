@@ -539,6 +539,18 @@ class TestEchoTrainType:
         with pytest.raises(ArgumentError, match="malformed echo rows"):
             EchoTrain(peaks=peaks, round_trip=2e-8)
 
+    @pytest.mark.parametrize("peaks", [[0.0, 1.0], np.array([0.0, 1.0]),
+                                       [(0, 1e-8, 1.0, False), 1.0], 5])
+    def test_bare_numbers_rejected(self, peaks):
+        # numpy would spread each number over a row: (0, 0.0, 0.0, False), (1, 1.0, 1.0, True)
+        with pytest.raises(ArgumentError, match="malformed echo rows"):
+            EchoTrain(peaks=peaks, round_trip=1e-8)
+
+    def test_table_and_its_records_accepted(self):
+        train = EchoTrain(peaks=[(0, 1e-8, 1.0, False), (1, 3e-8, 0.5, True)], round_trip=2e-8)
+        for peaks in (train.peaks, list(train.peaks)):
+            assert EchoTrain(peaks=peaks, round_trip=2e-8).peaks.tolist() == train.peaks.tolist()
+
     def test_empty_list_is_an_empty_table(self):
         assert len(EchoTrain(peaks=[], round_trip=2e-8).peaks) == 0
 
